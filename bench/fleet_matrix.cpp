@@ -29,6 +29,7 @@
 //      must be attributable to a drift op (unattributed == 0), and the
 //      serialized provenance sections must stay within a bounded
 //      record-size overhead versus the provenance-stripped stream.
+//   7. Memory — the process peak RSS over all legs, gated by a ceiling.
 //
 // Flags:
 //   --sites N / --workloads N   big-leg fleet shape (default 500x100)
@@ -53,6 +54,7 @@
 #include "fleet/generate.hpp"
 #include "fleet/manifest.hpp"
 #include "fleet/spec.hpp"
+#include "obs/memory.hpp"
 #include "report/aggregate.hpp"
 #include "report/diff.hpp"
 #include "report/gate.hpp"
@@ -315,6 +317,10 @@ int main(int argc, char** argv) {
       static_cast<double>(prov_diff.unattributed_flips());
   metrics["bench.fleet_prov_coverage"] = prov_coverage;
   metrics["bench.fleet_prov_overhead"] = prov_overhead;
+  const std::uint64_t peak_rss = obs::read_rss_peak_bytes();
+  std::printf("Peak RSS: %.0f MiB\n",
+              static_cast<double>(peak_rss) / 1048576.0);
+  metrics["bench.fleet_peak_rss_bytes"] = static_cast<double>(peak_rss);
 
   report::GateResult gate;
   const report::GateResult* gate_ptr = nullptr;

@@ -236,7 +236,7 @@ int main(int argc, char** argv) {
   // Leg 1 — legacy: strictly sequential, no memoization (exactly the
   // pre-engine code path). Leg 2 — the parallel engine: pooled workers
   // under subtree leases and thread-private shell sessions, with the
-  // content-addressed BDC cache, the fingerprint-keyed EDC memo, and the
+  // blob-keyed BDC cache, the fingerprint-keyed EDC memo, and the
   // per-binary source-phase memo. The two legs interleave best-of-two
   // (seq, pooled, seq, pooled) so residual warm-up favours neither side
   // of the speedup ratio.

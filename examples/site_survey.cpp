@@ -29,10 +29,10 @@ int main() {
     std::printf("build failed: %s\n", compiled.error().c_str());
     return 1;
   }
-  const auto binary = *build_host->vfs.read(compiled.value());
+  const support::Blob binary = build_host->vfs.read_blob(compiled.value());
   std::printf("community binary: galaxy_sim-3.2 (%zu KiB, Open MPI + GNU "
               "Fortran, built on RHEL 6 / glibc 2.12)\n\n",
-              binary.size() / 1024);
+              binary->size() / 1024);
 
   // Survey the whole testbed (plus the ppc64 demo site) with the basic
   // prediction — no bundle, nothing resolvable, pure assessment.

@@ -14,8 +14,9 @@ CLI with --run-record-out, then:
     exits non-zero with a diagnostic naming the directory,
   * drives `feam fleet` at full scale (500 sites x 100 workloads, drift
     on) and checks the rendered matrix dimensions cell-for-cell against
-    the feam.fleet_manifest/1 document, then time-bounds the `feam
-    report` aggregation over the 50000-record stream so a quadratic
+    the feam.fleet_manifest/1 document, gates the fleet run's peak RSS
+    (process.rss_peak_bytes from its --metrics-out), then time-bounds the
+    `feam report` aggregation over the 50000-record stream so a quadratic
     regression in ingestion or rendering fails loudly instead of
     hanging CI,
   * schema-validates the feam.provenance/1 section of every record (the
@@ -218,6 +219,11 @@ FLEET_WORKLOADS = 100
 # Measured ~1s on a single-core container; a quadratic regression in
 # ingestion or matrix rendering blows well past this.
 FLEET_REPORT_BUDGET_S = 60
+# Peak RSS ceiling for the fleet run itself (process.rss_peak_bytes from
+# its --metrics-out). Measured 1.6 GiB at --jobs 4; the ceiling keeps room
+# for four concurrent test processes on a 16 GB machine, so a memory
+# regression fails here instead of as an OOM kill.
+FLEET_RSS_CEILING_BYTES = 2560 * 1024 * 1024
 
 
 def check_fleet(feam, tmp):
@@ -228,11 +234,23 @@ def check_fleet(feam, tmp):
     fleet_dir.mkdir()
     manifest_path = tmp / "fleet_manifest.json"
     matrix_path = tmp / "fleet_matrix.txt"
+    metrics_path = tmp / "fleet_metrics.json"
     run([feam, "fleet", "--sites", FLEET_SITES,
          "--workloads", FLEET_WORKLOADS, "--drift", "0.25", "--seed", "42",
          "--jobs", "4", "--manifest-out", manifest_path,
          "--matrix-out", matrix_path,
-         "--records-out", fleet_dir / "records.jsonl"], timeout=420)
+         "--records-out", fleet_dir / "records.jsonl",
+         "--metrics-out", metrics_path], timeout=420)
+
+    gauges = json.loads(metrics_path.read_text()).get("gauges", {})
+    rss_peak = gauges.get("process.rss_peak_bytes", {}).get("value", 0)
+    if rss_peak <= 0:
+        sys.exit("FAIL: fleet metrics carry no process.rss_peak_bytes")
+    if rss_peak > FLEET_RSS_CEILING_BYTES:
+        sys.exit(f"FAIL: fleet peak RSS {rss_peak / 2**20:.0f} MiB exceeds "
+                 f"the {FLEET_RSS_CEILING_BYTES / 2**20:.0f} MiB ceiling")
+    print(f"fleet peak RSS {rss_peak / 2**20:.0f} MiB (ceiling "
+          f"{FLEET_RSS_CEILING_BYTES / 2**20:.0f} MiB)")
 
     manifest = json.loads(manifest_path.read_text())
     if manifest.get("schema") != "feam.fleet_manifest/1":

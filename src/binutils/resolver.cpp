@@ -109,41 +109,41 @@ Resolution resolve_libraries(const site::Site& host, std::string_view binary_pat
                              const std::vector<std::string>& extra_search_dirs,
                              ResolverCache* cache) {
   Resolution out;
-  // Reads report whether fault injection touched them; faulted bytes carry
-  // an unchanged write stamp, so they must never reach the stamp-keyed
-  // parse memo.
+  // Reads report whether fault injection touched them; faulted bytes are
+  // not the file's content, so they must never reach the parse memo.
   const auto* injector = host.vfs.fault_injector();
   const auto fault_count = [&]() -> std::uint64_t {
     return injector != nullptr ? injector->fault_count() : 0;
   };
   bool read_faulted = false;
-  const auto read_tracked = [&](std::string_view path) -> const support::Bytes* {
+  const auto read_tracked = [&](std::string_view path) -> support::Blob {
     const std::uint64_t before = fault_count();
-    const support::Bytes* data = host.vfs.read(path);
+    support::Blob data = host.vfs.read_blob(path);
     read_faulted = fault_count() != before;
     return data;
   };
 
-  const support::Bytes* root_data = read_tracked(binary_path);
+  const support::Blob root_data = read_tracked(binary_path);
   if (root_data == nullptr) {
     out.root_error = "no such file: " + std::string(binary_path);
     return out;
   }
-  // Parses `data` (the VFS content of `path`), through the cache's
-  // write-stamp memo when one is supplied. `local` keeps uncached parses
-  // alive for the duration of this resolution.
+  // Parses `data`, through the cache's blob memo when one is supplied.
+  // `local` keeps uncached parses alive for the duration of this
+  // resolution, and `held` the bytes their views borrow.
+  std::vector<support::Blob> held;
   std::deque<elf::ElfFile> local;
-  const auto parse_object = [&](std::string_view path,
-                                const support::Bytes& data,
+  const auto parse_object = [&](const support::Blob& data,
                                 bool faulted) -> const elf::ElfFile* {
-    if (cache != nullptr && !faulted) return cache->parsed_elf(host, path, data);
-    auto parsed = elf::ElfFile::parse(data);
+    if (cache != nullptr && !faulted) return cache->parsed_elf(host, data);
+    auto parsed = elf::ElfFile::parse(*data);
     if (!parsed.ok()) return nullptr;
+    held.push_back(data);
     local.push_back(std::move(parsed).take());
     return &local.back();
   };
 
-  const elf::ElfFile* root = parse_object(binary_path, *root_data, read_faulted);
+  const elf::ElfFile* root = parse_object(root_data, read_faulted);
   if (root == nullptr) {
     out.root_error = elf::ElfFile::parse(*root_data).error();
     return out;
@@ -216,10 +216,9 @@ Resolution resolve_libraries(const site::Site& host, std::string_view binary_pat
                               cache);
     if (lib.path) {
       provider_paths.emplace(item.name, *lib.path);
-      const support::Bytes* data = read_tracked(*lib.path);
+      const support::Blob data = read_tracked(*lib.path);
       if (data != nullptr) {
-        if (const elf::ElfFile* parsed =
-                parse_object(*lib.path, *data, read_faulted)) {
+        if (const elf::ElfFile* parsed = parse_object(data, read_faulted)) {
           for (const auto& n : parsed->needed()) {
             std::string name(n);
             if (!enqueued.insert(name).second) {
@@ -252,10 +251,9 @@ Resolution resolve_libraries(const site::Site& host, std::string_view binary_pat
     for (const auto& need : object->version_references()) {
       const auto provider_it = provider_paths.find(need.file);
       if (provider_it == provider_paths.end()) continue;  // missing lib: reported above
-      const support::Bytes* provider_data = read_tracked(provider_it->second);
+      const support::Blob provider_data = read_tracked(provider_it->second);
       if (provider_data == nullptr) continue;
-      const elf::ElfFile* provider =
-          parse_object(provider_it->second, *provider_data, read_faulted);
+      const elf::ElfFile* provider = parse_object(provider_data, read_faulted);
       if (provider == nullptr) continue;
       const auto& defs = provider->version_definitions();
       for (const auto& version : need.versions) {

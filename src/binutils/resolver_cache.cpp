@@ -33,11 +33,17 @@ std::uint64_t ldd_fingerprint(const site::Site& host, std::string_view path,
   return support::fnv1a_mix(h, env_fingerprint);
 }
 
-std::uint64_t parse_fingerprint(const site::Site& host, std::string_view path,
-                                std::uint64_t version) {
-  std::uint64_t h = support::fnv1a_mix(kFnvBasis, host.lease_id());
-  h = support::fnv1a_mix(h, path);
-  return support::fnv1a_mix(h, version);
+std::uint64_t parse_fingerprint(const support::Blob& data) {
+  return support::fnv1a_mix(kFnvBasis,
+                            reinterpret_cast<std::uintptr_t>(data.get()));
+}
+
+// True when `a` and `b` share one owner (one blob), without touching the
+// bytes. Sound for a weak reference whose blob died: the weak reference
+// keeps the ownership record, so no later blob can share it.
+bool same_blob(const std::weak_ptr<const support::Bytes>& a,
+               const support::Blob& b) {
+  return !a.owner_before(b) && !b.owner_before(a);
 }
 
 // Whether the shell's library path reaches into scratch directories —
@@ -54,8 +60,8 @@ bool ld_library_path_touches_scratch(const site::Site& host) {
 // fixed structs); allocator-exact sizes are not the point — trend and
 // ceiling gates need a stable, monotone measure of what the memo holds.
 std::uint64_t elf_bytes(const elf::ElfFile& file) {
-  // A parsed file is views-into-arena, so the string *content* is counted
-  // once via the arena's size by the caller; here only the view tables.
+  // A parsed file is views into a shared blob, so only the view tables
+  // belong to the entry.
   std::uint64_t total = sizeof(elf::ElfFile);
   total += (file.needed().size() + file.rpath().size() +
             file.version_definitions().size() + file.comments().size()) *
@@ -223,48 +229,34 @@ void ResolverCache::store_ldd(const site::Site& host, std::string_view path,
 }
 
 const elf::ElfFile* ResolverCache::parsed_elf(const site::Site& host,
-                                              std::string_view path,
-                                              const support::Bytes& data) {
-  const std::uint64_t version = host.vfs.file_version(path).value_or(0);
-  const std::uint64_t key = parse_fingerprint(host, path, version);
-  const std::uint64_t lease_id = host.lease_id();
+                                              const support::Blob& data) {
+  const std::uint64_t key = parse_fingerprint(data);
   const auto matches = [&](const ParseEntry& e) {
-    return e.lease_id == lease_id && e.version == version && e.path == path;
+    return same_blob(e.identity, data);
   };
   if (const ParseEntry* entry = parsed_.find_if(key, matches)) {
     parse_hits_.fetch_add(1, std::memory_order_relaxed);
     parse_hits_counter_.add();
-    entry->site_hits.add();
-    parse_bytes_saved_.add(data.size());
+    parse_site_hits_.at(host.name).add();
+    parse_bytes_saved_.add(data->size());
     return entry->parsed ? &*entry->parsed : nullptr;
   }
   // Parse with no lock held; a racing miss parses twice and the loser's
-  // insert is dropped in favour of the winner's entry. The parse runs
-  // against the entry's own arena copy — never against `data`, whose
-  // buffer dies with the VFS node on the next rewrite of this path.
-  support::Bytes arena = data;
-  auto parsed = elf::ElfFile::parse(arena);
+  // insert is dropped in favour of the winner's entry. The views borrow
+  // the blob itself, which the entry keeps alive.
+  auto parsed = elf::ElfFile::parse(*data);
   std::optional<elf::ElfFile> value;
-  if (parsed.ok()) {
-    value = std::move(parsed).take();
-  } else {
-    support::Bytes().swap(arena);  // failed parse retains no bytes
-  }
+  if (parsed.ok()) value = std::move(parsed).take();
   parse_misses_.fetch_add(1, std::memory_order_relaxed);
   parse_misses_counter_.add();
   obs::counter("cache.misses", {.site = host.name, .cache = "resolver.parse"})
       .add();
   const auto [entry, inserted] = parsed_.get_or_insert_if(key, matches, [&] {
-    return ParseEntry{
-        lease_id, std::string(path), version, std::move(arena),
-        std::move(value),
-        obs::SeriesHandle("cache.hits",
-                          {.site = host.name, .cache = "resolver.parse"})};
+    return ParseEntry{data, value ? data : nullptr, std::move(value)};
   });
   if (inserted) {
     const std::uint64_t entry_bytes =
-        sizeof(ParseEntry) + entry->path.size() + entry->arena.capacity() +
-        (entry->parsed ? elf_bytes(*entry->parsed) : 0);
+        sizeof(ParseEntry) + (entry->parsed ? elf_bytes(*entry->parsed) : 0);
     parse_footprint_.fetch_add(entry_bytes, std::memory_order_relaxed);
     parse_bytes_gauge_.add(entry_bytes);
   }

@@ -23,11 +23,13 @@
 //     shell's LD_LIBRARY_PATH reached into scratch directories at record
 //     time, validation falls back to the whole-VFS generation (exact,
 //     strictly conservative).
-//   * parse memo — keyed (site, path, Vfs::file_version): the parsed ELF
-//     view of an unchanged file. The loader re-parses the same root
-//     binary, resolved libraries, and version providers on every
-//     execution attempt; the write stamp uniquely identifies content, so
-//     the parse is a pure function of the key.
+//   * parse memo — keyed on the identity of the file's content blob
+//     (support::Blob): the parsed ELF view of those bytes. The loader
+//     re-parses the same root binary, resolved libraries, and version
+//     providers on every execution attempt, and a binary copied to many
+//     sites shares one blob, so one parse serves every site and path.
+//     Equal identity implies equal bytes, so the parse is a pure function
+//     of the key.
 //
 // All three memos sit on support::StripedMap: hits are lock-free (a
 // chain walk plus relaxed counter bumps), writers stripe across shards,
@@ -43,6 +45,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -52,6 +55,7 @@
 #include "elf/file.hpp"
 #include "obs/metrics.hpp"
 #include "site/site.hpp"
+#include "support/blob.hpp"
 #include "support/result.hpp"
 #include "support/striped_map.hpp"
 
@@ -81,16 +85,16 @@ class ResolverCache {
   void store_ldd(const site::Site& host, std::string_view path, bool verbose,
                  const support::Result<std::string>& text);
 
-  // Parsed view of the ELF image at `path` whose bytes are `data` (as
-  // read from `host`'s VFS), memoized on the file's write stamp. Returns
-  // nullptr when the image is not valid ELF. The pointer stays valid for
-  // the cache's lifetime: entries are never evicted — a rewritten file
-  // gets a distinct entry under its new write stamp. The returned
-  // ElfFile's string views do NOT borrow `data`: the entry owns an arena
-  // copy of the bytes and the cached parse borrows that arena, so the
-  // view survives the VFS node being rewritten or removed.
-  const elf::ElfFile* parsed_elf(const site::Site& host, std::string_view path,
-                                 const support::Bytes& data);
+  // Parsed view of the ELF image `data` (a blob `host`'s VFS returned),
+  // memoized on the blob's identity; `host` labels the hit and miss
+  // series. Returns nullptr when the image is not valid ELF. The pointer
+  // stays valid for the cache's lifetime: entries are never evicted — a
+  // rewritten file holds a new blob and gets its own entry. The returned
+  // ElfFile's string views borrow the blob, which the entry holds, so the
+  // view survives the VFS node being rewritten or removed. A failed parse
+  // borrows nothing and keeps only the blob's identity, not its bytes.
+  const elf::ElfFile* parsed_elf(const site::Site& host,
+                                 const support::Blob& data);
 
   // Combined totals across the three memos (legacy view).
   std::uint64_t hits() const;
@@ -180,17 +184,13 @@ class ResolverCache {
   };
 
   struct ParseEntry {
-    std::uint64_t lease_id = 0;
-    std::string path;
-    std::uint64_t version = 0;  // Vfs::file_version — uniquely keys content
-    // `parsed` is zero-copy: its string views borrow `arena`, the entry's
-    // own copy of the file bytes (never the transient VFS buffer the
-    // caller handed in). Moving the entry moves the vector — the heap
-    // buffer, and therefore every view into it, stays put. Empty when
-    // the parse failed (nothing borrows, no reason to retain bytes).
-    support::Bytes arena;
+    // The blob this entry describes, compared by ownership: a weak
+    // reference pins the identity without keeping the bytes alive.
+    std::weak_ptr<const support::Bytes> identity;
+    // The bytes `parsed`'s string views borrow; null after a failed
+    // parse, which borrows nothing.
+    support::Blob bytes;
     std::optional<elf::ElfFile> parsed;  // nullopt caches a parse failure
-    obs::SeriesHandle site_hits;  // cache.hits{cache=resolver.parse,...}
   };
 
   support::StripedMap<std::uint64_t, SearchEntry> search_;
@@ -214,10 +214,14 @@ class ResolverCache {
   obs::SeriesHandle parse_hits_counter_{"resolver.parse_hits", {}};
   obs::SeriesHandle parse_misses_counter_{"resolver.parse_misses", {}};
   obs::SeriesHandle parse_bytes_saved_{"resolver.parse_bytes_saved", {}};
+  // Parse entries serve every site, so hits are labeled by the site that
+  // looks up, not the one that filled the entry.
+  obs::SiteSeriesCache parse_site_hits_{"cache.hits", "resolver.parse"};
   // Estimated retained bytes per memo, mirrored into the process-wide
   // cache.bytes{cache=resolver.search|resolver.ldd|resolver.parse}
   // gauges. Shadowed (stale) entries stay retained, so footprints only
-  // grow while the cache lives.
+  // grow while the cache lives. Blob payloads are shared with the VFS
+  // and are not counted.
   obs::Gauge& search_bytes_gauge_;
   obs::Gauge& ldd_bytes_gauge_;
   obs::Gauge& parse_bytes_gauge_;

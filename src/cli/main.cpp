@@ -165,6 +165,8 @@ class ObsSession {
       }
     }
     if (!metrics_out_.empty()) {
+      // The process peak RSS rides every metrics export, sampler or not.
+      obs::sample_process_rss(obs::metrics());
       if (write_host_file(metrics_out_,
                           obs::render_metrics_json(obs::metrics()))) {
         std::fprintf(stderr, "feam: metrics written to %s\n",
@@ -549,7 +551,8 @@ int survey(const Options& opts, report::RunContext& ctx) {
   SurveyOptions survey_opts;
   survey_opts.jobs = opts.jobs;
   const auto report = survey_sites(sites, site::Vfs::basename(opts.binary),
-                                   *binary, source, {}, survey_opts);
+                                   support::intern(*binary), source, {},
+                                   survey_opts);
   std::printf("%s", report.render().c_str());
   std::printf("%zu of %zu sites ready (%s prediction)\n", report.ready_count(),
               report.entries.size(), source != nullptr ? "extended" : "basic");

@@ -18,8 +18,8 @@
 // ElfFile is valid exactly as long as the Bytes passed to parse() stay
 // alive and unmodified. Transient users (objdump/readelf/ldd render text
 // from a VFS node's bytes under the site lease) satisfy this trivially;
-// long-lived holders must own an arena copy of the bytes alongside the
-// parse (see ResolverCache::parsed_elf).
+// long-lived holders must keep the bytes' blob alive alongside the parse
+// (see ResolverCache::parsed_elf).
 #pragma once
 
 #include <cstdint>

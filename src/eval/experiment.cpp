@@ -48,10 +48,16 @@ bool impl_available(const Site& target, site::MpiImpl impl) {
                      [&](const auto& stack) { return stack.impl == impl; });
 }
 
-// Estimated retained bytes of one memoized source phase; the bundle
-// payload dominates, the rest is event text.
+// Estimated bytes one memoized source phase owns. Bundle payloads are
+// blobs shared with the home site's files, so only their records count.
 std::uint64_t source_output_bytes(const feam::SourcePhaseOutput& output) {
-  std::uint64_t total = sizeof(output) + output.bundle.total_bytes();
+  std::uint64_t total = sizeof(output);
+  for (const auto& lib : output.bundle.libraries) {
+    total += sizeof(lib) + lib.name.size() + lib.origin_path.size();
+  }
+  for (const auto& hw : output.bundle.hello_worlds) {
+    total += sizeof(hw) + hw.name.size();
+  }
   for (const auto& event : output.events) {
     total += event.name.size() + event.message.size();
     for (const auto& [key, value] : event.fields) {
@@ -266,9 +272,9 @@ std::optional<MigrationResult> Experiment::migrate_one(
 
   // --- migrate the binary bytes: the only step that touches both sites.
   // The home-side read needs no lease: test-set binaries are immutable
-  // while the matrix runs.
+  // while the matrix runs. The copy shares the home file's blob.
   {
-    const support::Bytes* content = home.vfs.read(binary.path);
+    support::Blob content = home.vfs.read_blob(binary.path);
     if (content == nullptr) {
       // A test-set binary is always present, so this read can only fail
       // under injection; the pair is recorded, not dropped.
@@ -277,7 +283,7 @@ std::optional<MigrationResult> Experiment::migrate_one(
           "reading " + binary.path + " at " + home.name + " failed";
       return result;
     }
-    if (!target.vfs.write_file(migrated_path, *content)) {
+    if (!target.vfs.write_file(migrated_path, std::move(content))) {
       // Torn or failed bundle copy; the Vfs rolled back whatever landed.
       result.failure_attribution = "io";
       result.failure_detail =

@@ -95,10 +95,11 @@ struct ExperimentOptions {
   // are bit-identical at any job count: the fault model is stateless, every
   // site is restored after use, and results land in pre-assigned slots.
   int jobs = 1;
-  // Memoize BDC descriptions (content-addressed), EDC scans (generation-
-  // keyed), and the per-binary source phase. Transparent: predictions and
-  // execution outcomes are identical with caches off — `false` is the
-  // legacy path the parallel_matrix bench uses as its baseline.
+  // Memoize BDC descriptions (keyed on content blobs), EDC scans
+  // (fingerprint-keyed), and the per-binary source phase. Transparent:
+  // predictions and execution outcomes are identical with caches off —
+  // `false` is the legacy path the parallel_matrix bench uses as its
+  // baseline.
   bool use_caches = true;
 
   // Opt-in Vfs fault injection during run() (0.0 = off). Each site gets an

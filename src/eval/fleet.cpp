@@ -110,14 +110,14 @@ FleetRunResult run_fleet(fleet::Fleet& fleet, const FleetRunOptions& options) {
       if (phase.ok()) source.emplace(std::move(phase).take());
     }
 
-    const support::Bytes* data = anchor.vfs.read(path);
-    const support::Bytes binary_bytes =
-        data != nullptr ? *data : support::Bytes{};
+    // Every site receives the anchor file's own blob, not a copy of it.
+    support::Blob binary = anchor.vfs.read_blob(path);
+    if (binary == nullptr) binary = support::intern({});
     SurveyOptions survey_options;
     survey_options.jobs = options.jobs;
     survey_options.caches = cache_ptr;
     const SurveyReport survey =
-        survey_sites(sites, workload.program.name, binary_bytes,
+        survey_sites(sites, workload.program.name, binary,
                      source ? &*source : nullptr, config, survey_options);
     anchor.vfs.remove(path);
 

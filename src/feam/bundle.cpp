@@ -11,8 +11,8 @@ const LibraryCopy* Bundle::find_library(std::string_view name) const {
 
 std::size_t Bundle::total_bytes() const {
   std::size_t total = 0;
-  for (const auto& lib : libraries) total += lib.content.size();
-  for (const auto& hw : hello_worlds) total += hw.content.size();
+  for (const auto& lib : libraries) total += lib.content->size();
+  for (const auto& hw : hello_worlds) total += hw.content->size();
   return total;
 }
 
@@ -24,7 +24,7 @@ support::Json Bundle::manifest() const {
     support::Json entry;
     entry.set("name", lib.name);
     entry.set("origin_path", lib.origin_path);
-    entry.set("bytes", lib.content.size());
+    entry.set("bytes", lib.content->size());
     entry.set("description", lib.description.to_json());
     libs.push_back(std::move(entry));
   }
@@ -34,7 +34,7 @@ support::Json Bundle::manifest() const {
     support::Json entry;
     entry.set("name", hw.name);
     entry.set("language", toolchain::language_name(hw.language));
-    entry.set("bytes", hw.content.size());
+    entry.set("bytes", hw.content->size());
     hellos.push_back(std::move(entry));
   }
   j.set("hello_worlds", support::Json(std::move(hellos)));

@@ -13,23 +13,25 @@
 
 #include "feam/description.hpp"
 #include "feam/edc.hpp"
-#include "support/byte_io.hpp"
+#include "support/blob.hpp"
 #include "support/json.hpp"
 #include "toolchain/compiler.hpp"
 
 namespace feam {
 
+// Payloads are the files' own blobs, shared with the VFS they were
+// gathered from and with every site they are installed at.
 struct LibraryCopy {
   std::string name;         // NEEDED name / soname ("libmpi.so.0")
   std::string origin_path;  // where it lived in the guaranteed environment
-  support::Bytes content;
+  support::Blob content;
   BinaryDescription description;
 };
 
 struct HelloWorldCopy {
   toolchain::Language language = toolchain::Language::kC;
   std::string name;  // "hello_mpi_c"
-  support::Bytes content;
+  support::Blob content;
 };
 
 class Bundle {
@@ -42,7 +44,8 @@ class Bundle {
   const LibraryCopy* find_library(std::string_view name) const;
 
   // Total payload size — the paper reports ~45M for a bundle covering all
-  // test binaries at a site (Section VI.C).
+  // test binaries at a site (Section VI.C). Logical bytes: a payload shared
+  // with other holders still counts in full.
   std::size_t total_bytes() const;
 
   // Self-describing manifest (descriptions and sizes; contents travel as

@@ -51,8 +51,8 @@ support::Bytes pack_bundle(const Bundle& bundle) {
     w.u32(static_cast<std::uint32_t>(content.size()));
     w.bytes(content);
   };
-  for (const auto& lib : bundle.libraries) entry(lib.name, lib.content);
-  for (const auto& hw : bundle.hello_worlds) entry(hw.name, hw.content);
+  for (const auto& lib : bundle.libraries) entry(lib.name, *lib.content);
+  for (const auto& hw : bundle.hello_worlds) entry(hw.name, *hw.content);
   support::Bytes archive = w.take();
   span.add_field("bytes", std::to_string(archive.size()));
   obs::counter("bundle.pack_bytes").add(archive.size());
@@ -140,7 +140,8 @@ support::Result<Bundle> unpack_bundle(const support::Bytes& archive) {
       auto desc = BinaryDescription::from_json(meta["description"]);
       if (!desc) return R::failure("library entry lacks a description");
       bundle.libraries.push_back({name, meta.get_string("origin_path"),
-                                  std::move(*content), std::move(*desc)});
+                                  support::intern(std::move(*content)),
+                                  std::move(*desc)});
     } else {
       const auto& meta = manifest_hellos[i - manifest_libs.size()];
       if (meta.get_string("name") != name) {
@@ -152,7 +153,7 @@ support::Result<Bundle> unpack_bundle(const support::Bytes& archive) {
       hw.language = lang == "Fortran" ? toolchain::Language::kFortran
                     : lang == "C++"   ? toolchain::Language::kCxx
                                       : toolchain::Language::kC;
-      hw.content = std::move(*content);
+      hw.content = support::intern(std::move(*content));
       bundle.hello_worlds.push_back(std::move(hw));
     }
   }

@@ -1,7 +1,5 @@
 #include "feam/caches.hpp"
 
-#include <algorithm>
-#include <cstring>
 #include <utility>
 
 #include "feam/bdc.hpp"
@@ -13,30 +11,12 @@ namespace feam {
 
 namespace {
 
-constexpr std::uint64_t kFnvPrime = 1099511628211ull;
 constexpr std::uint64_t kFnvBasis = 1469598103934665603ull;
 
-// FNV-1a folding 64-bit words, then the tail byte-wise.
-std::uint64_t fnv_region(std::uint64_t h, const std::uint8_t* p,
-                         std::size_t n) {
-  while (n >= 8) {
-    std::uint64_t word;
-    std::memcpy(&word, p, 8);
-    h = (h ^ word) * kFnvPrime;
-    p += 8;
-    n -= 8;
-  }
-  while (n-- > 0) {
-    h = (h ^ *p++) * kFnvPrime;
-  }
-  return h;
-}
-
 // Footprint estimates for the cache.bytes{cache=...} gauges: the payload
-// bytes an entry retains (string/vector contents plus the fixed struct),
-// not allocator-exact sizes — stable across allocators, cheap to compute,
-// and honest about what dominates (the retained binary bytes and the
-// per-stack strings).
+// bytes an entry owns (string/vector contents plus the fixed struct), not
+// allocator-exact sizes — stable across allocators and cheap to compute.
+// Blob payloads are shared with the VFS and are not counted.
 std::uint64_t string_bytes(const std::string& s) {
   return sizeof(std::string) + s.size();
 }
@@ -67,52 +47,11 @@ std::uint64_t environment_bytes(const EnvironmentDescription& e) {
 
 }  // namespace
 
-std::uint64_t content_hash(const support::Bytes& bytes) {
-  // Constant-work sampled hash: the size plus the head, tail, and a few
-  // evenly spaced interior windows. Multi-megabyte binaries hash in a
-  // bounded ~10 KiB of reads, so a cache lookup costs the same for a
-  // 100 KiB tool and a 50 MiB bundle library. The cache always verifies
-  // candidate hits with a full byte compare, so the hash only has to
-  // distribute well — sampling cannot cause a wrong answer, only a
-  // (vanishingly rare) extra compare.
-  constexpr std::size_t kWindow = 512;
-  constexpr std::size_t kInteriorWindows = 14;
-  constexpr std::size_t kSmall = 8 * 1024;
-
-  std::uint64_t h = (kFnvBasis ^ bytes.size()) * kFnvPrime;
-  const std::uint8_t* data = bytes.data();
-  if (bytes.size() <= kSmall) {
-    return fnv_region(h, data, bytes.size());
-  }
-  h = fnv_region(h, data, 2 * kWindow);                       // head
-  h = fnv_region(h, data + bytes.size() - 2 * kWindow, 2 * kWindow);  // tail
-  const std::size_t span = bytes.size() - kWindow;
-  for (std::size_t i = 0; i < kInteriorWindows; ++i) {
-    const std::size_t offset = (span * (i + 1)) / (kInteriorWindows + 1);
-    h = fnv_region(h, data + offset, kWindow);
-  }
-  return h;
-}
-
 BdcCache::BdcCache()
-    : hash_(content_hash),
-      footprint_gauge_(obs::gauge("cache.bytes", {.cache = "bdc"})) {}
-
-BdcCache::BdcCache(HashFn hash)
-    : hash_(std::move(hash)),
-      footprint_gauge_(obs::gauge("cache.bytes", {.cache = "bdc"})) {}
+    : footprint_gauge_(obs::gauge("cache.bytes", {.cache = "bdc"})) {}
 
 BdcCache::~BdcCache() {
   footprint_gauge_.sub(footprint_.load(std::memory_order_relaxed));
-}
-
-void BdcCache::count_hit(const site::Site&,
-                         const obs::SeriesHandle& site_hits,
-                         std::uint64_t bytes_size) {
-  hits_.fetch_add(1, std::memory_order_relaxed);
-  legacy_hits_.add();
-  site_hits.add();
-  bytes_saved_.add(bytes_size);
 }
 
 support::Result<BinaryDescription> BdcCache::describe(const site::Site& s,
@@ -120,57 +59,39 @@ support::Result<BinaryDescription> BdcCache::describe(const site::Site& s,
   const auto* injector = s.vfs.fault_injector();
   const std::uint64_t faults_before =
       injector != nullptr ? injector->fault_count() : 0;
-  const support::Bytes* bytes = s.vfs.read(path);
+  const support::Blob bytes = s.vfs.read_blob(path);
   if (injector != nullptr && injector->fault_count() != faults_before) {
     // The read was touched by fault injection: the bytes (or their
-    // absence) don't match the file's write stamp, so neither the fast
-    // path nor the content-addressed store may see them. Fall through to
-    // the uncached component, whose result the caller attributes.
+    // absence) are not the file's content, so the memo may not see them.
+    // Fall through to the uncached component, whose result the caller
+    // attributes.
     return Bdc::describe(s, path);
   }
   if (bytes == nullptr) {
     // Let the component produce its usual diagnostic for a missing file.
     return Bdc::describe(s, path);
   }
-  const std::uint64_t version = s.vfs.file_version(path).value_or(0);
-  const std::uint64_t lease_id = s.lease_id();
-  const std::uint64_t stamp_key =
-      support::fnv1a_mix(support::fnv1a(path), lease_id);
-  // Fast path, lock-free: the file has not been rewritten since we last
-  // described it at this location — no hashing, no byte compare.
-  if (const StampEntry* stamped = by_file_.find_if(
-          stamp_key, [&](const StampEntry& e) {
-            return e.lease_id == lease_id && e.version == version &&
-                   e.path == path;
-          })) {
-    count_hit(s, stamped->site_hits, bytes->size());
-    if (obs::provenance_active()) {
-      obs::record_evidence(
-          description_evidence(s.name, path, stamped->description));
-    }
-    return stamped->description;
-  }
-  const std::uint64_t key = hash_(*bytes);
-  if (const ContentEntry* entry = entries_.find_if(
-          key, [&](const ContentEntry& e) { return e.bytes == *bytes; })) {
+  const std::uint64_t key = support::fnv1a_mix(
+      kFnvBasis, reinterpret_cast<std::uintptr_t>(bytes.get()));
+  const auto matches = [&](const Entry& e) { return e.bytes == bytes; };
+  if (const Entry* entry = entries_.find_if(key, matches)) {
     hits_.fetch_add(1, std::memory_order_relaxed);
     legacy_hits_.add();
-    obs::counter("cache.hits", {.site = s.name, .cache = "bdc"}).add();
+    site_hits_.at(s.name).add();
     bytes_saved_.add(bytes->size());
     BinaryDescription d = entry->description;
     d.path = std::string(path);
     if (obs::provenance_active()) {
       obs::record_evidence(description_evidence(s.name, path, d));
     }
-    store_stamp(s, path, version, d);
     return d;
   }
-  // Miss (or collision): parse with no lock held — the caller holds the
-  // site lease, so the bytes cannot change underneath us.
+  // Miss: parse with no lock held — the caller holds the site lease, so
+  // the file cannot change underneath us.
   support::Result<BinaryDescription> described = Bdc::describe(s, path);
   // The component re-reads the file itself; if any of those reads were
-  // faulted, the description doesn't correspond to `*bytes` and must not
-  // be memoized under its hash.
+  // faulted, the description doesn't correspond to `bytes` and must not
+  // be memoized under it.
   if (injector != nullptr && injector->fault_count() != faults_before) {
     return described;
   }
@@ -179,35 +100,15 @@ support::Result<BinaryDescription> BdcCache::describe(const site::Site& s,
   obs::counter("cache.misses", {.site = s.name, .cache = "bdc"}).add();
   if (described.ok()) {
     const auto [entry, inserted] = entries_.get_or_insert_if(
-        key, [&](const ContentEntry& e) { return e.bytes == *bytes; },
-        [&] { return ContentEntry{*bytes, described.value()}; });
+        key, matches, [&] { return Entry{bytes, described.value()}; });
     if (inserted) {
-      const std::uint64_t added = sizeof(ContentEntry) + bytes->size() +
-                                  description_bytes(described.value());
+      const std::uint64_t added =
+          sizeof(Entry) + description_bytes(entry->description);
       footprint_.fetch_add(added, std::memory_order_relaxed);
       footprint_gauge_.add(added);
     }
-    store_stamp(s, path, version, described.value());
   }
   return described;
-}
-
-void BdcCache::store_stamp(const site::Site& s, std::string_view path,
-                           std::uint64_t version, const BinaryDescription& d) {
-  const std::uint64_t lease_id = s.lease_id();
-  const std::uint64_t key =
-      support::fnv1a_mix(support::fnv1a(path), lease_id);
-  // insert() shadows any stale stamp for this (site, path); the shadowed
-  // node stays allocated (readers may hold pointers into it), so the
-  // footprint only ever grows — it reports retained bytes, honestly.
-  by_file_.insert(
-      key, StampEntry{lease_id, std::string(path), version, d,
-                      obs::SeriesHandle("cache.hits",
-                                        {.site = s.name, .cache = "bdc"})});
-  const std::uint64_t added =
-      sizeof(StampEntry) + path.size() + description_bytes(d);
-  footprint_.fetch_add(added, std::memory_order_relaxed);
-  footprint_gauge_.add(added);
 }
 
 EdcMemo::EdcMemo()

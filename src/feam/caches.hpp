@@ -4,11 +4,11 @@
 // unchanged site environments on every one of its ~70 migrations. Both
 // operations are pure functions of observable state, so they memoize:
 //
-//   * BdcCache — content-addressed: hash of the binary's bytes ->
-//     BinaryDescription. A binary migrated to N targets is parsed once.
-//     Entries store the full bytes and are compared on lookup, so a hash
-//     collision degrades to a cache miss, never a wrong description. The
-//     hash function is injectable for exactly that test.
+//   * BdcCache — keyed on the identity of the binary's content blob
+//     (support::Blob) -> BinaryDescription. A binary migrated to N
+//     targets shares one blob, so it is parsed once; the entry holds the
+//     blob, so equal identity means equal bytes and a hit never needs to
+//     hash or compare them.
 //   * EdcMemo — per-site, keyed by Site::discovery_fingerprint(): the
 //     system half of the VFS plus the *content* of the environment and
 //     loaded-module list — exactly what the scan reads. Scratch writes
@@ -20,8 +20,9 @@
 // chain walk plus relaxed counter bumps — no mutex, so eight workers
 // hitting the same cache never serialize. Writers stripe across shards.
 // Every 64-bit map key is a fingerprint, and every lookup re-verifies
-// the entry's stored identity (full bytes, path, sub-generation values),
-// so a fingerprint collision degrades to a miss, never a wrong answer.
+// the entry's stored identity (the blob; the site and discovery
+// fingerprint), so a fingerprint collision degrades to a miss, never a
+// wrong answer.
 //
 // Callers must still hold the site's lease while describing/discovering
 // (the underlying components read live site state); the caches' shard
@@ -35,7 +36,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <string_view>
 
@@ -45,37 +45,26 @@
 #include "obs/metrics.hpp"
 #include "obs/provenance.hpp"
 #include "site/site.hpp"
-#include "support/byte_io.hpp"
+#include "support/blob.hpp"
 #include "support/result.hpp"
 #include "support/striped_map.hpp"
 
 namespace feam {
 
-// FNV-1a (64-bit) over the byte content — the default content address.
-std::uint64_t content_hash(const support::Bytes& bytes);
-
 class BdcCache {
  public:
-  using HashFn = std::function<std::uint64_t(const support::Bytes&)>;
-
   BdcCache();
-  // Injectable hash, for exercising the collision path with crafted inputs.
-  explicit BdcCache(HashFn hash);
   // Releases this cache's share of the cache.bytes{cache=bdc} footprint
   // gauge (caches are per-Experiment; the gauge is process-wide).
   ~BdcCache();
 
-  // Describe the binary at `path` on `s`, memoized on its content hash.
+  // Describe the binary at `path` on `s`, memoized on its content blob.
   // On a hit the cached description is returned with `path` rewritten to
-  // the requested location (the only path-dependent field). Failures are
-  // not cached. Unreadable paths fall through to Bdc::describe for its
-  // error message.
-  //
-  // Repeat lookups of an unchanged file short-circuit on the VFS write
-  // stamp — (site, path, Vfs::file_version) uniquely identifies content,
-  // so the fast path answers lock-free without touching the bytes at
-  // all. Only a stamp miss (new site, new path, rewritten file) pays the
-  // sampled hash + byte-verify of the content-addressed lookup.
+  // the requested location (the only path-dependent field): the same file
+  // described again, a copy at another path or site, and a fresh write of
+  // equal bytes (interned to the same blob) all hit, lock-free, without
+  // touching the bytes. Failures are not cached. Unreadable paths fall
+  // through to Bdc::describe for its error message.
   support::Result<BinaryDescription> describe(const site::Site& s,
                                               std::string_view path);
 
@@ -85,38 +74,23 @@ class BdcCache {
   }
 
  private:
-  struct ContentEntry {
-    support::Bytes bytes;  // kept for collision verification
+  struct Entry {
+    // Held, so the blob's address names these bytes for the entry's
+    // lifetime; the footprint gauge does not count the shared payload.
+    support::Blob bytes;
     BinaryDescription description;
   };
 
-  struct StampEntry {
-    std::uint64_t lease_id = 0;  // identity re-verified on lookup
-    std::string path;
-    std::uint64_t version = 0;  // Vfs::file_version at memoization time
-    BinaryDescription description;
-    obs::SeriesHandle site_hits;  // cache.hits{cache=bdc,site=...}
-  };
-
-  void count_hit(const site::Site& s, const obs::SeriesHandle& site_hits,
-                 std::uint64_t bytes_size);
-  void store_stamp(const site::Site& s, std::string_view path,
-                   std::uint64_t version, const BinaryDescription& d);
-
-  HashFn hash_;
-  // Content-addressed store, keyed by hash_(bytes); colliding contents
-  // coexist as chain links, disambiguated by full byte compare.
-  support::StripedMap<std::uint64_t, ContentEntry> entries_;
-  // Fast path: fingerprint of (lease_id, path) -> newest write stamp +
-  // description. A rewritten file shadows its old stamp.
-  support::StripedMap<std::uint64_t, StampEntry> by_file_;
+  // key: fingerprint of the blob's address
+  support::StripedMap<std::uint64_t, Entry> entries_;
   std::atomic<std::uint64_t> hits_{0};
   std::atomic<std::uint64_t> misses_{0};
-  // Pre-resolved metric series (one atomic per hit on the fast path) and
-  // this instance's share of the process-wide footprint gauge.
+  // Pre-resolved metric series (one atomic per hit) and this instance's
+  // share of the process-wide footprint gauge.
   obs::SeriesHandle legacy_hits_{"bdc.cache_hits", {}};
   obs::SeriesHandle legacy_misses_{"bdc.cache_misses", {}};
   obs::SeriesHandle bytes_saved_{"bdc.cache_bytes_saved", {}};
+  obs::SiteSeriesCache site_hits_{"cache.hits", "bdc"};
   obs::Gauge& footprint_gauge_;
   std::atomic<std::uint64_t> footprint_{0};
 };
@@ -168,7 +142,8 @@ struct MigrationCaches {
   BdcCache bdc;
   EdcMemo edc;
   // Memoizes the loader's per-site library searches and ldd transcripts,
-  // validated against VFS write stamps (binutils/resolver_cache.hpp).
+  // validated against VFS write stamps, and ELF parses keyed on content
+  // blobs (binutils/resolver_cache.hpp).
   binutils::ResolverCache resolver;
 };
 

@@ -122,8 +122,9 @@ support::Result<SourcePhaseOutput> run_source_phase(
              {{"language", std::string(toolchain::language_name(lang))}});
         continue;
       }
-      if (const auto* bytes = guaranteed.vfs.read(path)) {
-        out.bundle.hello_worlds.push_back({lang, program.name, *bytes});
+      if (support::Blob bytes = guaranteed.vfs.read_blob(path)) {
+        out.bundle.hello_worlds.push_back(
+            {lang, program.name, std::move(bytes)});
       }
       if (hello_world_path.empty()) hello_world_path = path;
     }
@@ -131,7 +132,8 @@ support::Result<SourcePhaseOutput> run_source_phase(
                       std::to_string(out.bundle.hello_worlds.size()));
   }
 
-  // Gather copies and descriptions of the transitive library closure.
+  // Gather copies and descriptions of the transitive library closure. A
+  // copy is the library's own blob: gathering shares bytes, never copies.
   {
     obs::Span gather_span("source.gather_libraries");
     std::set<std::string> visited;
@@ -153,7 +155,7 @@ support::Result<SourcePhaseOutput> run_source_phase(
         continue;
       }
       const std::string& lib_path = *located.front().second;
-      const support::Bytes* content = guaranteed.vfs.read(lib_path);
+      support::Blob content = guaranteed.vfs.read_blob(lib_path);
       if (content == nullptr) {
         note(out, obs::Level::kWarn, "source.gather",
              "could not read " + lib_path, {{"path", lib_path}});
@@ -172,7 +174,7 @@ support::Result<SourcePhaseOutput> run_source_phase(
         queue.push_back(dep);
       }
       out.bundle.libraries.push_back(
-          {name, lib_path, *content, std::move(lib_desc).take()});
+          {name, lib_path, std::move(content), std::move(lib_desc).take()});
     }
     gather_span.add_field("libraries",
                           std::to_string(out.bundle.libraries.size()));

@@ -110,7 +110,7 @@ std::string render_source_report(const SourcePhaseOutput& output) {
     out += "  (none)\n";
   }
   for (const auto& lib : output.bundle.libraries) {
-    out += "  " + lib.name + " (" + support::human_size(lib.content.size()) +
+    out += "  " + lib.name + " (" + support::human_size(lib.content->size()) +
            ") from " + lib.origin_path + "\n";
   }
   out += "hello worlds: " + std::to_string(output.bundle.hello_worlds.size()) +

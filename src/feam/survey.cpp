@@ -44,14 +44,14 @@ namespace {
 // when the phase errored after partial resolution), loaded modules
 // reinstated.
 SurveyEntry assess_site(site::Site& s, const std::string& path,
-                        const support::Bytes& binary_bytes,
+                        const support::Blob& binary,
                         const SourcePhaseOutput* source,
                         const FeamConfig& config,
                         MigrationCaches* caches) {
   obs::Span site_span("survey.site", {{"site", s.name}});
   obs::counter("survey.sites_assessed").add();
   const std::vector<std::string> modules_before = s.loaded_modules();
-  s.vfs.write_file(path, binary_bytes);
+  s.vfs.write_file(path, binary);
   const auto result =
       run_target_phase(s, path, source, config, TecOptions{}, caches);
   SurveyEntry entry;
@@ -105,7 +105,7 @@ SurveyEntry assess_site(site::Site& s, const std::string& path,
 
 SurveyReport survey_sites(std::span<site::Site* const> sites,
                           std::string_view binary_name,
-                          const support::Bytes& binary_bytes,
+                          const support::Blob& binary,
                           const SourcePhaseOutput* source,
                           const FeamConfig& config,
                           const SurveyOptions& options) {
@@ -131,14 +131,14 @@ SurveyReport survey_sites(std::span<site::Site* const> sites,
         site::SubtreeLeases lease(
             {{&s, path}, {&s, TecOptions{}.resolution_root}});
         site::ShellSession shell(s);
-        entries[i] = assess_site(s, path, binary_bytes, source, config,
+        entries[i] = assess_site(s, path, binary, source, config,
                                  options.caches);
       });
     }
     pool.wait();
   } else {
     for (std::size_t i = 0; i < sites.size(); ++i) {
-      entries[i] = assess_site(*sites[i], path, binary_bytes, source, config,
+      entries[i] = assess_site(*sites[i], path, binary, source, config,
                                options.caches);
     }
   }

@@ -20,7 +20,7 @@
 
 #include "feam/phases.hpp"
 #include "site/site.hpp"
-#include "support/byte_io.hpp"
+#include "support/blob.hpp"
 
 namespace feam {
 
@@ -46,14 +46,15 @@ struct SurveyOptions {
   MigrationCaches* caches = nullptr;
 };
 
-// Surveys `sites` for the binary `binary_bytes` (written to each site as
-// /home/user/<binary_name>). `source` enables the extended prediction and
-// resolution. Sites are evaluated independently; each is restored exactly
-// as found — migrated binary removed, resolution directories removed, and
-// the module load state reinstated — even when the target phase errors.
+// Surveys `sites` for the binary `binary` (each site's
+// /home/user/<binary_name> shares this one blob). `source` enables the
+// extended prediction and resolution. Sites are evaluated independently;
+// each is restored exactly as found — migrated binary removed, resolution
+// directories removed, and the module load state reinstated — even when
+// the target phase errors.
 SurveyReport survey_sites(std::span<site::Site* const> sites,
                           std::string_view binary_name,
-                          const support::Bytes& binary_bytes,
+                          const support::Blob& binary,
                           const SourcePhaseOutput* source = nullptr,
                           const FeamConfig& config = {},
                           const SurveyOptions& options = {});

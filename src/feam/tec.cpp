@@ -300,7 +300,7 @@ ResolutionOutcome run_resolution(site::Site& s, const BinaryDescription& app,
       }
       s.vfs.write_file(site::Vfs::join(out.dir, name), copy->content);
       obs::counter("resolution.libraries_copied").add();
-      obs::counter("resolution.bytes_copied").add(copy->content.size());
+      obs::counter("resolution.bytes_copied").add(copy->content->size());
       installed.insert(name);
       // Recursively resolve the copy's own requirements (paper IV).
       for (const auto& dep : copy->description.required_libraries) {
@@ -468,12 +468,14 @@ Prediction Tec::evaluate(site::Site& target, const BinaryDescription& app,
     std::uint64_t h = support::fnv1a("bundle");
     for (const auto& lib : bundle->libraries) {
       h = support::fnv1a_mix(h, lib.name);
-      h = support::fnv1a_mix(h, static_cast<std::uint64_t>(lib.content.size()));
+      h = support::fnv1a_mix(h,
+                             static_cast<std::uint64_t>(lib.content->size()));
       h = support::fnv1a_mix(h, description_stamp(lib.description));
     }
     for (const auto& hw : bundle->hello_worlds) {
       h = support::fnv1a_mix(h, hw.name);
-      h = support::fnv1a_mix(h, static_cast<std::uint64_t>(hw.content.size()));
+      h = support::fnv1a_mix(h,
+                             static_cast<std::uint64_t>(hw.content->size()));
     }
     obs::record_evidence(
         {"tec", "bundle", target.name, site::Vfs::basename(app.path),

@@ -64,8 +64,9 @@ DriftOp apply_one(Site& s, Rng& rng, int round) {
               .detail = std::to_string(s.module_files.size()) + " modules"};
     }
     // Package re-install at the same prefix: byte-identical libraries
-    // (content is seeded by site+soname) under *new* write stamps — the
-    // BDC's stamp fast path misses and falls back to content hashing.
+    // (content is seeded by site+soname) under *new* write stamps. The
+    // rewrites intern to the libraries' live blobs, so the BDC and parse
+    // memos keep hitting while stamp-validated memos re-verify.
     case 4: {
       if (s.stacks.empty()) return os_bump(s, round);
       const auto& stack = s.stacks[rng.next_below(s.stacks.size())];

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <bit>
 
+#include "support/rng.hpp"
+
 namespace feam::obs {
 
 namespace {
@@ -435,15 +437,15 @@ Gauge& gauge(std::string_view name, const Labels& labels) {
 SeriesHandle::SeriesHandle(std::string_view name, const Labels& labels)
     : counter_(&metrics().counter(name, labels)) {}
 
-SeriesHandle& SiteSeriesCache::at(std::string_view site) {
-  auto it = handles_.find(site);
-  if (it == handles_.end()) {
-    it = handles_
-             .emplace(std::string(site),
-                      SeriesHandle(name_, {.site = site, .cache = cache_label_}))
-             .first;
-  }
-  return it->second;
+const SeriesHandle& SiteSeriesCache::at(std::string_view site) {
+  const std::uint64_t key = support::fnv1a(site);
+  const auto matches = [&](const Slot& slot) { return slot.site == site; };
+  // Lock-free once the site has a slot: get_or_insert_if looks up first.
+  const auto make = [&] {
+    return Slot{std::string(site),
+                SeriesHandle(name_, {.site = site, .cache = cache_label_})};
+  };
+  return slots_.get_or_insert_if(key, matches, make).first->handle;
 }
 
 std::function<void(std::uint64_t, std::uint64_t)> pool_task_recorder() {

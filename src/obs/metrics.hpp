@@ -25,6 +25,7 @@
 
 #include "obs/clock.hpp"
 #include "support/json.hpp"
+#include "support/striped_map.hpp"
 
 namespace feam::obs {
 
@@ -261,21 +262,24 @@ class SeriesHandle {
   Counter* counter_;
 };
 
-// SeriesHandles for one `name{cache=...,site=<varies>}` family, cached per
-// site so hot memo paths that label by site pay the key encoding once per
-// distinct site and one relaxed atomic per hit afterwards. NOT internally
-// synchronized — embed it under the owning cache's existing mutex.
+// SeriesHandles for one `name{cache=...,site=<varies>}` family, resolved
+// on a site's first use. Lock-free afterwards: a lookup is one chain walk,
+// so a memo hit labeled by the looking-up site costs one relaxed atomic.
 class SiteSeriesCache {
  public:
   SiteSeriesCache(std::string name, std::string cache_label)
       : name_(std::move(name)), cache_label_(std::move(cache_label)) {}
 
-  SeriesHandle& at(std::string_view site);
+  const SeriesHandle& at(std::string_view site);
 
  private:
+  struct Slot {
+    std::string site;
+    SeriesHandle handle;
+  };
   std::string name_;
   std::string cache_label_;
-  std::map<std::string, SeriesHandle, std::less<>> handles_;
+  support::StripedMap<std::uint64_t, Slot> slots_;  // key: fnv1a(site)
 };
 
 // Ready-made support::ThreadPool::TaskObserver: records each task's

@@ -210,7 +210,7 @@ bool Vfs::mkdirs(std::string_view path) {
   return true;
 }
 
-bool Vfs::write_file(std::string_view path, support::Bytes content) {
+bool Vfs::admit_write(std::string_view path, const support::Bytes& content) {
   std::unique_lock<std::shared_mutex> lock(*tree_mutex_);
   // A read-only layer rejects before the media can fault.
   if (seal_blocks(path)) return false;
@@ -222,6 +222,7 @@ bool Vfs::write_file(std::string_view path, support::Bytes content) {
         // Write a genuinely partial node, then roll it back: the caller
         // sees a failed copy, the tree ends unchanged, and the generation
         // is not bumped — so no cache entry is spuriously invalidated.
+        // The partial bytes are a private blob, never interned.
         Node* parent = walk_mut(dirname(path));
         if (parent == nullptr || parent->kind != Node::Kind::kDir) {
           return false;  // no parent: the tear never reached the disk
@@ -232,8 +233,9 @@ bool Vfs::write_file(std::string_view path, support::Bytes content) {
         auto torn = std::make_unique<Node>();
         torn->kind = Node::Kind::kFile;
         const std::size_t keep = fault_->short_read_length(content.size());
-        torn->content.assign(content.begin(),
-                             content.begin() + static_cast<std::ptrdiff_t>(keep));
+        torn->content = std::make_shared<const support::Bytes>(
+            content.begin(),
+            content.begin() + static_cast<std::ptrdiff_t>(keep));
         slot = std::move(torn);
         if (previous != nullptr) {
           slot = std::move(previous);  // restore-on-error
@@ -246,6 +248,12 @@ bool Vfs::write_file(std::string_view path, support::Bytes content) {
         break;
     }
   }
+  return true;
+}
+
+bool Vfs::install(std::string_view path, support::Blob content) {
+  std::unique_lock<std::shared_mutex> lock(*tree_mutex_);
+  if (seal_blocks(path)) return false;  // sealed since admission
   Node* parent = ensure_parent(path);
   if (parent == nullptr) return false;
   auto& child = parent->children[basename(path)];
@@ -256,8 +264,20 @@ bool Vfs::write_file(std::string_view path, support::Bytes content) {
   return true;
 }
 
+bool Vfs::write_file(std::string_view path, support::Bytes content) {
+  if (!admit_write(path, content)) return false;
+  // Interned outside the tree lock: confirming a match is a full compare,
+  // which must not stall this tree's readers.
+  return install(path, support::intern(std::move(content)));
+}
+
 bool Vfs::write_file(std::string_view path, std::string_view text) {
   return write_file(path, support::Bytes(text.begin(), text.end()));
+}
+
+bool Vfs::write_file(std::string_view path, support::Blob content) {
+  return content != nullptr && admit_write(path, *content) &&
+         install(path, std::move(content));
 }
 
 bool Vfs::symlink(std::string_view path, std::string_view target) {
@@ -306,8 +326,8 @@ bool Vfs::is_symlink(std::string_view path) const {
   return n != nullptr && n->kind == Node::Kind::kSymlink;
 }
 
-const support::Bytes* Vfs::read(std::string_view path) const {
-  std::shared_lock<std::shared_mutex> lock(*tree_mutex_);
+const Vfs::Node* Vfs::read_node(
+    std::string_view path, std::optional<std::size_t>& short_length) const {
   const Node* n = walk(path, true);
   if (n == nullptr || n->kind != Node::Kind::kFile) return nullptr;
   if (fault_ != nullptr && fault_->enabled()) {
@@ -315,21 +335,40 @@ const support::Bytes* Vfs::read(std::string_view path) const {
       case FaultKind::kEnoent:
       case FaultKind::kEio:
         return nullptr;
-      case FaultKind::kShortRead: {
-        const std::size_t keep = fault_->short_read_length(n->content.size());
-        // Several readers may fault concurrently under the shared tree
-        // lock; the scratch deque gets its own guard.
-        std::lock_guard<std::mutex> scratch_lock(*scratch_mutex_);
-        short_read_scratch_.emplace_back(
-            n->content.begin(),
-            n->content.begin() + static_cast<std::ptrdiff_t>(keep));
-        return &short_read_scratch_.back();
-      }
+      case FaultKind::kShortRead:
+        short_length = fault_->short_read_length(n->content->size());
+        break;
       default:
         break;
     }
   }
-  return &n->content;
+  return n;
+}
+
+const support::Bytes* Vfs::read(std::string_view path) const {
+  std::shared_lock<std::shared_mutex> lock(*tree_mutex_);
+  std::optional<std::size_t> short_length;
+  const Node* n = read_node(path, short_length);
+  if (n == nullptr) return nullptr;
+  if (!short_length) return n->content.get();
+  // Several readers may fault concurrently under the shared tree lock; the
+  // scratch deque gets its own guard.
+  const support::Bytes& full = *n->content;
+  std::lock_guard<std::mutex> scratch_lock(*scratch_mutex_);
+  short_read_scratch_.emplace_back(
+      full.begin(), full.begin() + static_cast<std::ptrdiff_t>(*short_length));
+  return &short_read_scratch_.back();
+}
+
+support::Blob Vfs::read_blob(std::string_view path) const {
+  std::shared_lock<std::shared_mutex> lock(*tree_mutex_);
+  std::optional<std::size_t> short_length;
+  const Node* n = read_node(path, short_length);
+  if (n == nullptr) return nullptr;
+  if (!short_length) return n->content;
+  const support::Bytes& full = *n->content;
+  return std::make_shared<const support::Bytes>(
+      full.begin(), full.begin() + static_cast<std::ptrdiff_t>(*short_length));
 }
 
 std::optional<std::uint64_t> Vfs::file_version(std::string_view path) const {
@@ -402,34 +441,6 @@ std::vector<std::string> Vfs::locate(std::string_view needle) const {
   find_impl(*root_, "/", {}, true, needle, out);
   std::sort(out.begin(), out.end());
   return out;
-}
-
-namespace {
-void accounting(const Vfs& vfs, std::string_view dir, std::size_t& bytes,
-                std::size_t& files) {
-  for (const auto& name : vfs.list(dir)) {
-    const std::string full = Vfs::join(dir, name);
-    if (vfs.is_symlink(full)) continue;  // links don't own bytes
-    if (vfs.is_dir(full)) {
-      accounting(vfs, full, bytes, files);
-    } else if (const auto* content = vfs.read(full)) {
-      bytes += content->size();
-      ++files;
-    }
-  }
-}
-}  // namespace
-
-std::size_t Vfs::total_file_bytes() const {
-  std::size_t bytes = 0, files = 0;
-  accounting(*this, "/", bytes, files);
-  return bytes;
-}
-
-std::size_t Vfs::file_count() const {
-  std::size_t bytes = 0, files = 0;
-  accounting(*this, "/", bytes, files);
-  return files;
 }
 
 }  // namespace feam::site

@@ -6,6 +6,14 @@
 // (`ldd`, `find`, `locate`) all traverse them. Path syntax is absolute
 // ("/usr/lib64/libc.so.6"); components "." and ".." are not supported
 // (never produced by the toolchain).
+//
+// A regular file's content is an immutable support::Blob. Writing fresh
+// bytes interns them, so equal files anywhere in the process share one
+// blob; writing a blob read from another file (another site's binary, a
+// bundle payload) hands it over with no hashing and no copy. Rewriting or
+// removing a file drops only this tree's reference: other holders keep
+// their bytes. Write stamps stay per write — two files sharing a blob
+// still carry distinct file_version values.
 #pragma once
 
 #include <atomic>
@@ -22,6 +30,7 @@
 #include <vector>
 
 #include "site/fault.hpp"
+#include "support/blob.hpp"
 #include "support/byte_io.hpp"
 
 namespace feam::site {
@@ -39,8 +48,10 @@ class Vfs {
   // is an existing non-directory.
   bool mkdirs(std::string_view path);
   // Writes a regular file, creating parent directories. Overwrites.
+  // Fresh bytes are interned (support::intern); a blob is stored as is.
   bool write_file(std::string_view path, support::Bytes content);
   bool write_file(std::string_view path, std::string_view text);
+  bool write_file(std::string_view path, support::Blob content);
   // Creates a symlink at `path` pointing to `target` (absolute, or relative
   // to the link's directory). The target need not exist (dangling links are
   // legal and occur on misconfigured sites).
@@ -62,6 +73,11 @@ class Vfs {
   bool is_symlink(std::string_view path) const;  // does NOT follow
   // Content of a regular file; nullptr if absent / dangling / a directory.
   const support::Bytes* read(std::string_view path) const;
+  // The same read as a shared reference to the file's blob, which stays
+  // valid after the file is rewritten or removed. Faults as read() does;
+  // an injected short read yields a private truncated blob, never the
+  // file's own and never interned.
+  support::Blob read_blob(std::string_view path) const;
   // Canonical path after resolving symlinks; nullopt if unresolvable.
   std::optional<std::string> resolve(std::string_view path) const;
   // Names (not full paths) of a directory's entries, sorted.
@@ -78,10 +94,6 @@ class Vfs {
   // Whole-tree filename index lookup (like `locate pattern`): every path
   // whose basename contains `needle`.
   std::vector<std::string> locate(std::string_view needle) const;
-
-  // Accounting (bundle sizes, Section VI.C).
-  std::size_t total_file_bytes() const;
-  std::size_t file_count() const;
 
   // Monotone counter bumped on every successful mutation (mkdirs,
   // write_file, symlink, remove). Cache keys use it to detect staleness.
@@ -144,11 +156,22 @@ class Vfs {
   struct Node {
     enum class Kind : std::uint8_t { kDir, kFile, kSymlink };
     Kind kind = Kind::kDir;
-    support::Bytes content;                        // kFile
+    support::Blob content;                         // kFile
     std::uint64_t version = 0;                     // kFile: write stamp
     std::string target;                            // kSymlink
     std::map<std::string, std::unique_ptr<Node>> children;  // kDir
   };
+
+  // Shared by every write: seals, then fault injection (a torn write is
+  // performed and rolled back here). True when the write may proceed.
+  bool admit_write(std::string_view path, const support::Bytes& content);
+  // Stores `content` as the file at `path`, stamping the write.
+  bool install(std::string_view path, support::Blob content);
+  // The file node a read of `path` sees, or nullptr when absent or faulted
+  // away; `short_length` is set for an injected short read. Caller holds
+  // the tree lock.
+  const Node* read_node(std::string_view path,
+                        std::optional<std::size_t>& short_length) const;
 
   // Walks to the node for `path`. If follow_terminal, the final component's
   // symlinks are resolved too. Returns nullptr when any component is

@@ -70,14 +70,14 @@ std::optional<RunResult> check_abi(const Site& host, const elf::ElfFile& binary,
     const auto* injector = host.vfs.fault_injector();
     const std::uint64_t before =
         injector != nullptr ? injector->fault_count() : 0;
-    const support::Bytes* data = host.vfs.read(*lib.path);
+    const support::Blob data = host.vfs.read_blob(*lib.path);
     const bool faulted =
         injector != nullptr && injector->fault_count() != before;
     if (data == nullptr) continue;
     std::optional<elf::ElfFile> parsed_local;
     const elf::ElfFile* parsed = nullptr;
     if (cache != nullptr && !faulted) {
-      parsed = cache->parsed_elf(host, *lib.path, *data);
+      parsed = cache->parsed_elf(host, data);
     } else if (auto direct = elf::ElfFile::parse(*data); direct.ok()) {
       parsed = &parsed_local.emplace(std::move(direct).take());
     }
@@ -212,33 +212,30 @@ const char* run_status_name(RunStatus status) {
 namespace {
 
 // Parsed view of a binary that already passed load_binary, through the
-// cache's write-stamp memo when available. `local` keeps an uncached parse
-// alive in the caller's scope. Returns nullptr when the bytes fail to
-// parse after all — possible only when the re-read was touched by fault
-// injection (`faulted`, which also keeps the truncated bytes out of the
-// stamp-keyed memo).
+// cache's blob memo when available. `local` keeps an uncached parse alive
+// in the caller's scope, which also holds `data`. Returns nullptr when the
+// bytes fail to parse after all — possible only when the re-read was
+// touched by fault injection (`faulted`, which also keeps the truncated
+// bytes out of the memo).
 const elf::ElfFile* parse_loaded(const site::Site& host,
-                                 std::string_view binary_path,
-                                 const support::Bytes& data, bool faulted,
+                                 const support::Blob& data, bool faulted,
                                  binutils::ResolverCache* cache,
                                  std::optional<elf::ElfFile>& local) {
   if (cache != nullptr && !faulted) {
-    if (const elf::ElfFile* memo = cache->parsed_elf(host, binary_path, data)) {
-      return memo;
-    }
+    if (const elf::ElfFile* memo = cache->parsed_elf(host, data)) return memo;
   }
-  auto parsed = elf::ElfFile::parse(data);
+  auto parsed = elf::ElfFile::parse(*data);
   if (!parsed.ok()) return nullptr;
   return &local.emplace(std::move(parsed).take());
 }
 
-// vfs.read plus a flag reporting whether fault injection touched it.
-const support::Bytes* read_tracked(const site::Site& host,
-                                   std::string_view path, bool& faulted) {
+// vfs.read_blob plus a flag reporting whether fault injection touched it.
+support::Blob read_tracked(const site::Site& host, std::string_view path,
+                           bool& faulted) {
   const auto* injector = host.vfs.fault_injector();
   const std::uint64_t before =
       injector != nullptr ? injector->fault_count() : 0;
-  const support::Bytes* data = host.vfs.read(path);
+  support::Blob data = host.vfs.read_blob(path);
   faulted = injector != nullptr && injector->fault_count() != before;
   return data;
 }
@@ -264,12 +261,11 @@ RunResult run_serial_impl(const site::Site& host, std::string_view binary_path,
   if (report.status != LoadStatus::kOk) return from_load_report(report);
 
   bool faulted = false;
-  const support::Bytes* data = read_tracked(host, binary_path, faulted);
+  const support::Blob data = read_tracked(host, binary_path, faulted);
   std::optional<elf::ElfFile> local;
   const elf::ElfFile* binary_view =
-      data == nullptr
-          ? nullptr
-          : parse_loaded(host, binary_path, *data, faulted, cache, local);
+      data == nullptr ? nullptr
+                      : parse_loaded(host, data, faulted, cache, local);
   if (binary_view == nullptr) {
     return {RunStatus::kSystemError,
             std::string(binary_path) + ": Input/output error", ""};
@@ -314,12 +310,11 @@ RunResult mpiexec_impl(const site::Site& host, std::string_view binary_path,
   if (report.status != LoadStatus::kOk) return from_load_report(report);
 
   bool faulted = false;
-  const support::Bytes* data = read_tracked(host, binary_path, faulted);
+  const support::Blob data = read_tracked(host, binary_path, faulted);
   std::optional<elf::ElfFile> local;
   const elf::ElfFile* binary_view =
-      data == nullptr
-          ? nullptr
-          : parse_loaded(host, binary_path, *data, faulted, cache, local);
+      data == nullptr ? nullptr
+                      : parse_loaded(host, data, faulted, cache, local);
   if (binary_view == nullptr) {
     return {RunStatus::kSystemError,
             std::string(binary_path) + ": Input/output error", ""};

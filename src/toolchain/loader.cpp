@@ -17,7 +17,7 @@ LoadReport load_binary(const site::Site& host, std::string_view path,
   const auto* injector = host.vfs.fault_injector();
   const std::uint64_t faults_before =
       injector != nullptr ? injector->fault_count() : 0;
-  const support::Bytes* data = host.vfs.read(path);
+  const support::Blob data = host.vfs.read_blob(path);
   const bool read_faulted =
       injector != nullptr && injector->fault_count() != faults_before;
   if (data == nullptr) {
@@ -27,10 +27,10 @@ LoadReport load_binary(const site::Site& host, std::string_view path,
   }
   std::optional<elf::ElfFile> local;
   const elf::ElfFile* binary = nullptr;
-  // Bytes touched by fault injection carry an unchanged write stamp and
-  // must not reach the stamp-keyed parse memo.
+  // Bytes touched by fault injection are not the file's content and must
+  // not reach the parse memo.
   if (cache != nullptr && !read_faulted) {
-    binary = cache->parsed_elf(host, path, *data);
+    binary = cache->parsed_elf(host, data);
   } else if (auto parsed = elf::ElfFile::parse(*data); parsed.ok()) {
     binary = &local.emplace(std::move(parsed).take());
   }

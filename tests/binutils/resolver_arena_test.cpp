@@ -1,11 +1,13 @@
 // Lifetime contract of the parsed-ELF memo: the cached ElfFile borrows
-// the entry's own arena copy of the file bytes, never the VFS node the
-// caller read from. These tests mutate the VFS out from under a cached
-// parse — rewriting the same path, deleting it, churning unrelated
-// entries — and assert the old pointer's views still read correctly.
-// Run under ASan, a stale borrow here is a heap-use-after-free.
+// the file's content blob, which the memo entry holds, so the views do
+// not depend on the VFS node the caller read from. These tests mutate the
+// VFS out from under a cached parse — rewriting the same path, deleting
+// it, churning unrelated entries — and assert the old pointer's views
+// still read correctly. Run under ASan, a stale borrow here is a
+// heap-use-after-free.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -43,9 +45,9 @@ site::Site make_host() {
 // Parses through the cache and returns the memoized pointer.
 const elf::ElfFile* cached_parse(ResolverCache& cache, site::Site& s,
                                  const std::string& path) {
-  const support::Bytes* data = s.vfs.read(path);
+  const support::Blob data = s.vfs.read_blob(path);
   EXPECT_NE(data, nullptr);
-  return cache.parsed_elf(s, path, *data);
+  return cache.parsed_elf(s, data);
 }
 
 TEST(ResolverArena, ViewsSurviveRewriteOfSameFile) {
@@ -56,8 +58,8 @@ TEST(ResolverArena, ViewsSurviveRewriteOfSameFile) {
   ASSERT_NE(before, nullptr);
   ASSERT_TRUE(before->soname().has_value());
 
-  // Rewriting the path frees the VFS node's old byte buffer. The cached
-  // parse must not notice: its views borrow the entry's arena.
+  // Rewriting the path drops the VFS node's reference to the old blob.
+  // The cached parse must not notice: its entry still holds that blob.
   s.vfs.write_file("/lib64/libmpi.so.0",
                    elf::build_image(lib_spec("libmpi.so.2", {"libc.so.6"})));
 
@@ -68,8 +70,8 @@ TEST(ResolverArena, ViewsSurviveRewriteOfSameFile) {
   ASSERT_EQ(before->comments().size(), 2u);
   EXPECT_EQ(before->comments()[0], "GCC: (GNU) 4.1.2");
 
-  // The rewritten file gets its own entry under the new write stamp; the
-  // old pointer keeps describing the old content.
+  // The rewritten file holds a new blob and gets its own entry; the old
+  // pointer keeps describing the old content.
   const elf::ElfFile* after = cached_parse(cache, s, "/lib64/libmpi.so.0");
   ASSERT_NE(after, nullptr);
   EXPECT_NE(after, before);
@@ -126,12 +128,20 @@ TEST(ResolverArena, FailedParseIsMemoizedWithoutRetainingBytes) {
   site::Site s = make_host();
   ResolverCache cache;
   s.vfs.write_file("/tmp/notelf", std::string_view("#!/bin/sh\necho hi\n"));
+  std::weak_ptr<const support::Bytes> bytes = s.vfs.read_blob("/tmp/notelf");
   EXPECT_EQ(cached_parse(cache, s, "/tmp/notelf"), nullptr);
   // Memoized: the second call is a hit that still reports failure.
   const std::uint64_t misses = cache.parse_misses();
   EXPECT_EQ(cached_parse(cache, s, "/tmp/notelf"), nullptr);
   EXPECT_EQ(cache.parse_misses(), misses);
   EXPECT_GE(cache.parse_hits(), 1u);
+  // The entry keeps only the blob's identity: removing the file frees the
+  // bytes, and equal bytes written afterwards are a new blob, parsed anew.
+  ASSERT_TRUE(s.vfs.remove("/tmp/notelf"));
+  EXPECT_TRUE(bytes.expired());
+  s.vfs.write_file("/tmp/notelf", std::string_view("#!/bin/sh\necho hi\n"));
+  EXPECT_EQ(cached_parse(cache, s, "/tmp/notelf"), nullptr);
+  EXPECT_EQ(cache.parse_misses(), misses + 1);
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // The parallel migration engine's central guarantee: the full evaluation
 // matrix produces bit-identical run records, readiness matrix, and report
 // aggregate at every job count — and with the memoization layer switched
-// off entirely.
+// off entirely — within a bounded peak RSS.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -10,7 +10,18 @@
 
 #include "eval/experiment.hpp"
 #include "eval/run_records.hpp"
+#include "obs/memory.hpp"
 #include "report/aggregate.hpp"
+
+// Sanitizer shadow memory and quarantines inflate RSS several-fold and are
+// not the program's; the RSS ceiling applies to uninstrumented builds.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define FEAM_SANITIZED_BUILD 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define FEAM_SANITIZED_BUILD 1
+#endif
+#endif
 
 namespace feam::eval {
 namespace {
@@ -59,6 +70,14 @@ TEST(ParallelDeterminism, FullMatrixIsIdenticalAtEveryJobCount) {
   EXPECT_EQ(uncached.records_dump, jobs1.records_dump);
   EXPECT_EQ(uncached.readiness_matrix, jobs1.readiness_matrix);
   EXPECT_EQ(uncached.metrics, jobs1.metrics);
+
+#ifndef FEAM_SANITIZED_BUILD
+  // ctest runs each discovered case in its own process, so the peak is
+  // this test's own. Measured at 788 MiB; four such processes must fit
+  // beside each other on a 16 GB machine under ctest -j4.
+  constexpr std::uint64_t kRssCeilingBytes = 1536ull << 20;
+  EXPECT_LE(obs::read_rss_peak_bytes(), kRssCeilingBytes);
+#endif
 }
 
 }  // namespace

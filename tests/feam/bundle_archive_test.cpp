@@ -41,14 +41,15 @@ TEST(BundleArchive, RoundTripPreservesEverything) {
   for (std::size_t i = 0; i < b.libraries.size(); ++i) {
     EXPECT_EQ(b.libraries[i].name, source.bundle.libraries[i].name);
     EXPECT_EQ(b.libraries[i].origin_path, source.bundle.libraries[i].origin_path);
-    EXPECT_EQ(b.libraries[i].content, source.bundle.libraries[i].content);
+    EXPECT_EQ(*b.libraries[i].content, *source.bundle.libraries[i].content);
     EXPECT_EQ(b.libraries[i].description.soname,
               source.bundle.libraries[i].description.soname);
   }
   ASSERT_EQ(b.hello_worlds.size(), source.bundle.hello_worlds.size());
   for (std::size_t i = 0; i < b.hello_worlds.size(); ++i) {
     EXPECT_EQ(b.hello_worlds[i].language, source.bundle.hello_worlds[i].language);
-    EXPECT_EQ(b.hello_worlds[i].content, source.bundle.hello_worlds[i].content);
+    EXPECT_EQ(*b.hello_worlds[i].content,
+              *source.bundle.hello_worlds[i].content);
   }
   EXPECT_EQ(b.total_bytes(), source.bundle.total_bytes());
   EXPECT_EQ(b.source_environment.clib_version,

@@ -1,7 +1,7 @@
-// The migration-engine memoization layer: content-addressed BDC cache
-// (including the injected-hash collision path and the write-stamp fast
-// path), the fingerprint-keyed EDC memo, and the resolver cache's exact
-// invalidation on site mutation.
+// The migration-engine memoization layer: the blob-keyed BDC cache, the
+// fingerprint-keyed EDC memo, and the resolver cache's exact invalidation
+// on site mutation. Hash collisions between distinct bytes are covered by
+// VfsBlob.NaturalHashCollisionStaysTwoBlobsWithTwoDescriptions.
 #include "feam/caches.hpp"
 
 #include <gtest/gtest.h>
@@ -88,8 +88,8 @@ TEST(BdcCache, RebuildAtTheSamePathIsDescribedFresh) {
   BdcCache cache;
   const auto before = cache.describe(*s, a);
   ASSERT_TRUE(before.ok());
-  // Rebuild: byte-different content lands at the old path. The write stamp
-  // changes, so the fast path must not serve the stale description.
+  // Rebuild: byte-different content lands at the old path. Its blob is
+  // new to the cache, so the stale description must not be served.
   ASSERT_TRUE(s->vfs.write_file(a, b_bytes));
   const auto after = cache.describe(*s, a);
   ASSERT_TRUE(after.ok());
@@ -100,33 +100,6 @@ TEST(BdcCache, RebuildAtTheSamePathIsDescribedFresh) {
   // And the fresh entry is served on the next lookup.
   ASSERT_TRUE(cache.describe(*s, a).ok());
   EXPECT_EQ(cache.hits(), 1u);
-}
-
-TEST(BdcCache, InjectedWeakHashCollisionsDegradeToMissesNotWrongAnswers) {
-  auto s = toolchain::make_site("india");
-  const std::string a = compile_app(*s, "alpha", {"base", "stdio"});
-  const std::string b = compile_app(*s, "beta", {"base", "stdio", "math"});
-
-  // Every input hashes to 42: the two binaries collide, and only the
-  // byte-compare chain keeps the answers apart.
-  BdcCache cache([](const support::Bytes&) { return 42ull; });
-  const auto first = cache.describe(*s, a);
-  const auto second = cache.describe(*s, b);
-  ASSERT_TRUE(first.ok());
-  ASSERT_TRUE(second.ok());
-  EXPECT_EQ(cache.misses(), 2u);
-
-  const auto direct_a = Bdc::describe(*s, a);
-  const auto direct_b = Bdc::describe(*s, b);
-  EXPECT_EQ(first.value().required_libraries,
-            direct_a.value().required_libraries);
-  EXPECT_EQ(second.value().required_libraries,
-            direct_b.value().required_libraries);
-
-  // Both colliding entries are retrievable as hits afterwards.
-  ASSERT_TRUE(cache.describe(*s, a).ok());
-  ASSERT_TRUE(cache.describe(*s, b).ok());
-  EXPECT_EQ(cache.hits(), 2u);
 }
 
 // -------------------------------------------------------------- EdcMemo
@@ -277,33 +250,42 @@ TEST(ResolverCache, LddMemoInvalidatedByAnySiteMutation) {
   EXPECT_GT(cache.misses(), misses_before);
 }
 
-TEST(ResolverCache, ParseMemoKeyedOnWriteStamp) {
+TEST(ResolverCache, ParseMemoKeyedOnBlobIdentity) {
   auto s = toolchain::make_site("india");
+  auto other = toolchain::make_site("fir");
   const std::string a = compile_app(*s, "alpha", {"base", "stdio"});
   const std::string b = compile_app(*s, "beta", {"base", "stdio", "math"});
   const support::Bytes b_bytes = *s->vfs.read(b);
 
   binutils::ResolverCache cache;
-  const elf::ElfFile* first = cache.parsed_elf(*s, a, *s->vfs.read(a));
+  const elf::ElfFile* first = cache.parsed_elf(*s, s->vfs.read_blob(a));
   ASSERT_NE(first, nullptr);
   // Unchanged file: the exact same entry is served again.
-  EXPECT_EQ(cache.parsed_elf(*s, a, *s->vfs.read(a)), first);
+  EXPECT_EQ(cache.parsed_elf(*s, s->vfs.read_blob(a)), first);
+  // A copy at another site shares the blob and so the parse.
+  ASSERT_TRUE(other->vfs.write_file("/tmp/alpha", s->vfs.read_blob(a)));
+  EXPECT_EQ(cache.parsed_elf(*other, other->vfs.read_blob("/tmp/alpha")),
+            first);
+  EXPECT_EQ(cache.parse_misses(), 1u);
+  EXPECT_EQ(cache.parse_hits(), 2u);
 
-  // Rewritten file: new write stamp, new parse reflecting the new bytes.
+  // Rewritten file: new blob, new parse reflecting the new bytes.
   ASSERT_TRUE(s->vfs.write_file(a, b_bytes));
-  const elf::ElfFile* rewritten = cache.parsed_elf(*s, a, *s->vfs.read(a));
+  const elf::ElfFile* rewritten = cache.parsed_elf(*s, s->vfs.read_blob(a));
   ASSERT_NE(rewritten, nullptr);
   EXPECT_NE(rewritten, first);
   EXPECT_EQ(rewritten->file_size(), b_bytes.size());
+  // The rewrite interned to b's blob, so b itself now hits that parse.
+  EXPECT_EQ(cache.parsed_elf(*s, s->vfs.read_blob(b)), rewritten);
 
   // Non-ELF content parses to nullptr, memoized the same way.
   ASSERT_TRUE(s->vfs.write_file("/tmp/script.sh", "#!/bin/sh\n"));
-  EXPECT_EQ(cache.parsed_elf(*s, "/tmp/script.sh",
-                             *s->vfs.read("/tmp/script.sh")),
+  const std::uint64_t misses = cache.parse_misses();
+  EXPECT_EQ(cache.parsed_elf(*s, s->vfs.read_blob("/tmp/script.sh")),
             nullptr);
-  EXPECT_EQ(cache.parsed_elf(*s, "/tmp/script.sh",
-                             *s->vfs.read("/tmp/script.sh")),
+  EXPECT_EQ(cache.parsed_elf(*s, s->vfs.read_blob("/tmp/script.sh")),
             nullptr);
+  EXPECT_EQ(cache.parse_misses(), misses + 1);
 }
 
 TEST(ResolverCache, CachedResolutionMatchesUncached) {

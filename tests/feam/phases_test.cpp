@@ -54,7 +54,7 @@ TEST(SourcePhase, GathersCopiesOfEverythingButLibc) {
   EXPECT_EQ(bundle.find_library("libc.so.6"), nullptr);
   for (const auto& lib : bundle.libraries) {
     EXPECT_EQ(lib.name.find("ld-linux"), std::string::npos);
-    EXPECT_FALSE(lib.content.empty());
+    EXPECT_FALSE(lib.content->empty());
     EXPECT_EQ(lib.description.soname, lib.name);
   }
 }
@@ -69,7 +69,7 @@ TEST(SourcePhase, CompilesHelloWorldsWithSelectedStack) {
             toolchain::Language::kC);
   EXPECT_EQ(out.value().bundle.hello_worlds[1].language,
             toolchain::Language::kFortran);
-  EXPECT_FALSE(out.value().bundle.hello_worlds[0].content.empty());
+  EXPECT_FALSE(out.value().bundle.hello_worlds[0].content->empty());
 }
 
 TEST(SourcePhase, ConfirmsSelectedStackMatches) {

@@ -16,7 +16,7 @@ using site::MpiImpl;
 struct Fixture {
   std::vector<std::unique_ptr<site::Site>> owned;
   std::vector<site::Site*> sites;
-  support::Bytes binary;
+  support::Blob binary;
   std::unique_ptr<site::Site> home;
   SourcePhaseOutput source;
 };
@@ -34,7 +34,7 @@ Fixture make_fixture(MpiImpl impl, CompilerFamily fam,
   const auto compiled = toolchain::compile_mpi_program(*f.home, app, *stack,
                                                        "/home/user/probe");
   EXPECT_TRUE(compiled.ok());
-  f.binary = *f.home->vfs.read(compiled.value());
+  f.binary = f.home->vfs.read_blob(compiled.value());
   f.home->load_module(std::string(site::mpi_impl_slug(impl)) + "/" +
                       stack->version.str() + "-" + site::compiler_slug(fam));
   f.source = run_source_phase(*f.home, compiled.value()).take();
@@ -150,7 +150,8 @@ TEST(Survey, SitesRestoredEvenWhenTheTargetPhaseErrors) {
   ASSERT_FALSE(modules.empty());
   victim->load_module(modules.front());
 
-  const support::Bytes garbage = {'n', 'o', 't', ' ', 'e', 'l', 'f'};
+  const support::Blob garbage =
+      support::intern({'n', 'o', 't', ' ', 'e', 'l', 'f'});
   const auto report = survey_sites(f.sites, "probe", garbage, &f.source);
 
   for (const auto& entry : report.entries) {

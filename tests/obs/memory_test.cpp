@@ -118,8 +118,8 @@ TEST(SeriesHandleTest, AddsToTheResolvedSeries) {
 
 TEST(SiteSeriesCacheTest, OneHandlePerSite) {
   SiteSeriesCache cache("memtest.lookups", "resolver.search");
-  SeriesHandle& india = cache.at("india");
-  SeriesHandle& fir = cache.at("fir");
+  const SeriesHandle& india = cache.at("india");
+  const SeriesHandle& fir = cache.at("fir");
   india.add(2);
   fir.add(3);
   // Same site resolves to the same handle (and so the same counter).

@@ -144,14 +144,5 @@ TEST(Vfs, LocateSubstring) {
   EXPECT_EQ(hits[1], "/usr/lib64/libmpich.so.1.2");
 }
 
-TEST(Vfs, Accounting) {
-  Vfs vfs;
-  vfs.write_file("/a/one", std::string(100, 'x'));
-  vfs.write_file("/a/b/two", std::string(50, 'y'));
-  vfs.symlink("/a/link", "one");  // links own no bytes
-  EXPECT_EQ(vfs.total_file_bytes(), 150u);
-  EXPECT_EQ(vfs.file_count(), 2u);
-}
-
 }  // namespace
 }  // namespace feam::site

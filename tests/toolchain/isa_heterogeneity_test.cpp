@@ -112,7 +112,7 @@ TEST(IsaHeterogeneity, BigEndianBundleTravels) {
   ASSERT_TRUE(source.ok()) << source.error();
   EXPECT_GE(source.value().bundle.libraries.size(), 4u);
   for (const auto& lib : source.value().bundle.libraries) {
-    const auto parsed = elf::ElfFile::parse(lib.content);
+    const auto parsed = elf::ElfFile::parse(*lib.content);
     ASSERT_TRUE(parsed.ok()) << lib.name;
     EXPECT_EQ(parsed.value().isa(), elf::Isa::kPpc64) << lib.name;
   }
