@@ -75,37 +75,21 @@ support::Result<std::string> ldd_impl(const site::Site& host,
 
 support::Result<std::string> ldd(const site::Site& host, std::string_view path,
                                  bool verbose, ResolverCache* cache) {
+  const auto run = [&] { return ldd_impl(host, path, verbose, cache); };
+  support::Result<std::string> result =
+      cache != nullptr ? cache->ldd_text(host, path, verbose, run) : run();
   // Provenance over the transcript itself: content-stamped, so a memoized
   // transcript and a fresh one for identical state record identically.
-  const auto record_ldd = [&](const support::Result<std::string>& r) {
-    if (!obs::provenance_active()) return;
-    const std::string_view text = r.ok() ? r.value() : r.error();
-    obs::record_evidence({"resolver", "ldd", host.name, std::string(path),
-                          r.ok() ? std::to_string(parse_ldd_output(r.value())
-                                                      .size()) +
-                                       " entries"
-                                 : "failed: " + r.error(),
-                          support::fnv1a(text)});
-  };
-  if (cache != nullptr) {
-    if (auto memo = cache->ldd_text(host, path, verbose)) {
-      record_ldd(*memo);
-      return *memo;
-    }
+  if (obs::provenance_active()) {
+    const std::string_view text =
+        result.ok() ? result.value() : result.error();
+    obs::record_evidence(
+        {"resolver", "ldd", host.name, std::string(path),
+         result.ok() ? std::to_string(parse_ldd_output(result.value()).size()) +
+                           " entries"
+                     : "failed: " + result.error(),
+         support::fnv1a(text)});
   }
-  const auto* injector = host.vfs.fault_injector();
-  const std::uint64_t faults_before =
-      injector != nullptr ? injector->fault_count() : 0;
-  support::Result<std::string> result = ldd_impl(host, path, verbose, cache);
-  // A transcript produced under injected faults reflects a view of the
-  // site that never really existed; memoizing it would poison later runs
-  // (the site generations it is keyed on did not change).
-  const bool faulted =
-      injector != nullptr && injector->fault_count() != faults_before;
-  if (cache != nullptr && !faulted) {
-    cache->store_ldd(host, path, verbose, result);
-  }
-  record_ldd(result);
   return result;
 }
 

@@ -60,12 +60,26 @@ std::optional<std::string> search_library(const site::Site& host,
   const auto defaults = host.default_lib_dirs(bits);
   dirs.insert(dirs.end(), defaults.begin(), defaults.end());
 
+  const auto walk = [&] {
+    std::optional<std::string> found;
+    for (const auto& dir : dirs) {
+      const std::string candidate = site::Vfs::join(dir, soname);
+      const support::Bytes* data = host.vfs.read(candidate);
+      if (data == nullptr) continue;
+      if (!candidate_compatible(host, *data, bits)) continue;  // keep looking
+      found = host.vfs.resolve(candidate).value_or(candidate);
+      break;
+    }
+    return found;
+  };
+  const std::optional<std::string> found =
+      cache != nullptr ? cache->search(host, soname, bits, dirs, walk)
+                       : walk();
+
   // Provenance: the walk's evidence is a pure function of (soname, dirs,
-  // result), all of which a memo hit has in hand — recording at every exit
-  // keeps cached and uncached provenance byte-identical without storing
-  // evidence in the cache entry.
-  const auto record_search = [&](const std::optional<std::string>& found) {
-    if (!obs::provenance_active()) return;
+  // result), all of which a memo hit has in hand, so cached and uncached
+  // provenance are byte-identical without storing evidence in the entry.
+  if (obs::provenance_active()) {
     std::uint64_t h = support::fnv1a(soname);
     for (const auto& dir : dirs) h = support::fnv1a_mix(h, dir);
     h = support::fnv1a_mix(h, found ? std::string_view(*found) : "\x01");
@@ -74,34 +88,7 @@ std::optional<std::string> search_library(const site::Site& host,
          found ? "found " + *found
                : "absent in " + std::to_string(dirs.size()) + " dirs",
          h});
-  };
-
-  if (cache != nullptr) {
-    if (const auto memo = cache->search(host, soname, bits, dirs)) {
-      record_search(*memo);
-      return *memo;
-    }
   }
-  const auto* injector = host.vfs.fault_injector();
-  const std::uint64_t faults_before =
-      injector != nullptr ? injector->fault_count() : 0;
-  std::optional<std::string> found;
-  for (const auto& dir : dirs) {
-    const std::string candidate = site::Vfs::join(dir, soname);
-    const support::Bytes* data = host.vfs.read(candidate);
-    if (data == nullptr) continue;
-    if (!candidate_compatible(host, *data, bits)) continue;  // skip, keep looking
-    found = host.vfs.resolve(candidate).value_or(candidate);
-    break;
-  }
-  // A walk touched by fault injection saw a spurious view of the site;
-  // memoizing it would poison later (unfaulted) lookups.
-  const bool faulted =
-      injector != nullptr && injector->fault_count() != faults_before;
-  if (cache != nullptr && !faulted) {
-    cache->store_search(host, soname, bits, dirs, found);
-  }
-  record_search(found);
   return found;
 }
 
@@ -109,45 +96,25 @@ Resolution resolve_libraries(const site::Site& host, std::string_view binary_pat
                              const std::vector<std::string>& extra_search_dirs,
                              ResolverCache* cache) {
   Resolution out;
-  // Reads report whether fault injection touched them; faulted bytes are
-  // not the file's content, so they must never reach the parse memo.
-  const auto* injector = host.vfs.fault_injector();
-  const auto fault_count = [&]() -> std::uint64_t {
-    return injector != nullptr ? injector->fault_count() : 0;
-  };
-  bool read_faulted = false;
-  const auto read_tracked = [&](std::string_view path) -> support::Blob {
-    const std::uint64_t before = fault_count();
-    support::Blob data = host.vfs.read_blob(path);
-    read_faulted = fault_count() != before;
-    return data;
-  };
-
-  const support::Blob root_data = read_tracked(binary_path);
-  if (root_data == nullptr) {
+  const ElfImage root_image = read_elf(host, binary_path, cache);
+  if (root_image.bytes == nullptr) {
     out.root_error = "no such file: " + std::string(binary_path);
     return out;
   }
-  // Parses `data`, through the cache's blob memo when one is supplied.
-  // `local` keeps uncached parses alive for the duration of this
-  // resolution, and `held` the bytes their views borrow.
-  std::vector<support::Blob> held;
-  std::deque<elf::ElfFile> local;
-  const auto parse_object = [&](const support::Blob& data,
-                                bool faulted) -> const elf::ElfFile* {
-    if (cache != nullptr && !faulted) return cache->parsed_elf(host, data);
-    auto parsed = elf::ElfFile::parse(*data);
-    if (!parsed.ok()) return nullptr;
-    held.push_back(data);
-    local.push_back(std::move(parsed).take());
-    return &local.back();
-  };
-
-  const elf::ElfFile* root = parse_object(root_data, read_faulted);
+  const elf::ElfFile* root = root_image.elf;
   if (root == nullptr) {
-    out.root_error = elf::ElfFile::parse(*root_data).error();
+    out.root_error = elf::ElfFile::parse(*root_image.bytes).error();
     return out;
   }
+  // Parsed view of the object at `path`, or nullptr. Parses the memo did
+  // not keep stay alive in `held` for the duration of this resolution.
+  std::vector<ElfImage> held;
+  const auto parse_object = [&](std::string_view path) -> const elf::ElfFile* {
+    ElfImage image = read_elf(host, path, cache);
+    const elf::ElfFile* parsed = image.elf;
+    if (image.owned != nullptr) held.push_back(std::move(image));
+    return parsed;
+  };
   out.root_parsed = true;
   const int bits = root->bits();
   std::vector<std::string> rpath;
@@ -216,30 +183,27 @@ Resolution resolve_libraries(const site::Site& host, std::string_view binary_pat
                               cache);
     if (lib.path) {
       provider_paths.emplace(item.name, *lib.path);
-      const support::Blob data = read_tracked(*lib.path);
-      if (data != nullptr) {
-        if (const elf::ElfFile* parsed = parse_object(data, read_faulted)) {
-          for (const auto& n : parsed->needed()) {
-            std::string name(n);
-            if (!enqueued.insert(name).second) {
-              detect_cycle(item.name, name);
-              continue;
-            }
-            if (item.depth + 1 > kMaxDepDepth) {
-              enqueued.erase(name);
-              if (!out.dep_error) {
-                out.dep_error = support::Error{
-                    support::ErrorCode::kDepDepthExceeded,
-                    "DT_NEEDED chain exceeds depth " +
-                        std::to_string(kMaxDepDepth) + " at " + name};
-              }
-              continue;
-            }
-            parent[name] = item.name;
-            queue.push_back({std::move(name), *lib.path, item.depth + 1});
+      if (const elf::ElfFile* parsed = parse_object(*lib.path)) {
+        for (const auto& n : parsed->needed()) {
+          std::string name(n);
+          if (!enqueued.insert(name).second) {
+            detect_cycle(item.name, name);
+            continue;
           }
-          closure.emplace_back(*lib.path, parsed);
+          if (item.depth + 1 > kMaxDepDepth) {
+            enqueued.erase(name);
+            if (!out.dep_error) {
+              out.dep_error = support::Error{
+                  support::ErrorCode::kDepDepthExceeded,
+                  "DT_NEEDED chain exceeds depth " +
+                      std::to_string(kMaxDepDepth) + " at " + name};
+            }
+            continue;
+          }
+          parent[name] = item.name;
+          queue.push_back({std::move(name), *lib.path, item.depth + 1});
         }
+        closure.emplace_back(*lib.path, parsed);
       }
     }
     out.libs.push_back(std::move(lib));
@@ -251,9 +215,7 @@ Resolution resolve_libraries(const site::Site& host, std::string_view binary_pat
     for (const auto& need : object->version_references()) {
       const auto provider_it = provider_paths.find(need.file);
       if (provider_it == provider_paths.end()) continue;  // missing lib: reported above
-      const support::Blob provider_data = read_tracked(provider_it->second);
-      if (provider_data == nullptr) continue;
-      const elf::ElfFile* provider = parse_object(provider_data, read_faulted);
+      const elf::ElfFile* provider = parse_object(provider_it->second);
       if (provider == nullptr) continue;
       const auto& defs = provider->version_definitions();
       for (const auto& version : need.versions) {

@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "obs/metrics.hpp"
 #include "site/vfs.hpp"
 #include "support/rng.hpp"
 
@@ -31,6 +30,27 @@ std::uint64_t ldd_fingerprint(const site::Site& host, std::string_view path,
   h = support::fnv1a_mix(h, verbose ? 'v' : '-');
   h = support::fnv1a_mix(h, path);
   return support::fnv1a_mix(h, env_fingerprint);
+}
+
+// The search memo's identity check (the key is only a fingerprint), then
+// its validity rule: every candidate stamp still holds.
+auto search_answers(const site::Site& host, std::string_view soname,
+                    int bits, const std::vector<std::string>& dirs) {
+  return [&host, soname, bits, &dirs,
+          lease_id = host.lease_id()](const auto& e) {
+    return e.lease_id == lease_id && e.bits == bits && e.soname == soname &&
+           e.dirs == dirs && e.fresh(host);
+  };
+}
+
+auto ldd_answers(const site::Site& host, std::string_view path, bool verbose,
+                 std::uint64_t env_fingerprint) {
+  return [&host, path, verbose, env_fingerprint,
+          lease_id = host.lease_id()](const auto& e) {
+    return e.lease_id == lease_id && e.verbose == verbose &&
+           e.env_fingerprint == env_fingerprint && e.path == path &&
+           e.fresh(host);
+  };
 }
 
 std::uint64_t parse_fingerprint(const support::Blob& data) {
@@ -73,159 +93,111 @@ std::uint64_t elf_bytes(const elf::ElfFile& file) {
   return total;
 }
 
-std::uint64_t search_entry_bytes(const std::string& soname,
-                                 const std::vector<std::string>& dirs,
-                                 std::size_t candidates,
-                                 const std::optional<std::string>& result) {
-  std::uint64_t total = soname.size();
-  for (const auto& dir : dirs) total += sizeof(std::string) + dir.size();
-  total += candidates * sizeof(std::optional<std::uint64_t>);
-  total += result ? result->size() : 0;
-  return total;
-}
-
 }  // namespace
 
-ResolverCache::ResolverCache()
-    : search_bytes_gauge_(
-          obs::gauge("cache.bytes", {.cache = "resolver.search"})),
-      ldd_bytes_gauge_(obs::gauge("cache.bytes", {.cache = "resolver.ldd"})),
-      parse_bytes_gauge_(
-          obs::gauge("cache.bytes", {.cache = "resolver.parse"})) {}
-
-ResolverCache::~ResolverCache() {
-  search_bytes_gauge_.sub(search_footprint_.load(std::memory_order_relaxed));
-  ldd_bytes_gauge_.sub(ldd_footprint_.load(std::memory_order_relaxed));
-  parse_bytes_gauge_.sub(parse_footprint_.load(std::memory_order_relaxed));
-}
-
-std::optional<std::optional<std::string>> ResolverCache::search(
-    const site::Site& host, std::string_view soname, int bits,
-    const std::vector<std::string>& dirs) {
-  const std::uint64_t key = search_fingerprint(host, soname, bits, dirs);
-  const std::uint64_t lease_id = host.lease_id();
-  const SearchEntry* entry = search_.find_if(key, [&](const SearchEntry& e) {
-    return e.lease_id == lease_id && e.bits == bits && e.soname == soname &&
-           e.dirs == dirs;
-  });
-  if (entry != nullptr && entry->candidate_versions.size() == dirs.size()) {
-    // Read the system generation *before* walking stamps: if the stamps
-    // validate afterwards, they were provably valid at this generation,
-    // so recording it as "checked" can never mask a later mutation.
-    const std::uint64_t system_generation = host.vfs.system_generation();
-    bool fresh =
-        !entry->scratch_candidates &&
-        entry->checked_system_generation.load(std::memory_order_acquire) ==
-            system_generation;
-    if (!fresh) {
-      fresh = true;
-      for (std::size_t i = 0; i < dirs.size(); ++i) {
-        const auto version =
-            host.vfs.file_version(site::Vfs::join(dirs[i], soname));
-        if (version != entry->candidate_versions[i]) {
-          fresh = false;
-          break;
-        }
-      }
-      if (fresh && !entry->scratch_candidates) {
-        entry->checked_system_generation.store(system_generation,
-                                               std::memory_order_release);
-      }
-    }
-    if (fresh) {
-      search_hits_.fetch_add(1, std::memory_order_relaxed);
-      search_hits_counter_.add();
-      entry->site_hits.add();
-      return entry->result;
+bool ResolverCache::SearchEntry::fresh(const site::Site& host) const {
+  // Read the system generation *before* walking stamps: if the stamps
+  // validate afterwards, they were provably valid at this generation, so
+  // recording it as "checked" can never mask a later mutation.
+  const std::uint64_t system_generation = host.vfs.system_generation();
+  if (!scratch_candidates &&
+      checked_system_generation.load(std::memory_order_acquire) ==
+          system_generation) {
+    return true;
+  }
+  for (std::size_t i = 0; i < dirs.size(); ++i) {
+    if (host.vfs.file_version(site::Vfs::join(dirs[i], soname)) !=
+        candidate_versions[i]) {
+      return false;
     }
   }
-  search_misses_.fetch_add(1, std::memory_order_relaxed);
-  search_misses_counter_.add();
-  obs::counter("cache.misses", {.site = host.name, .cache = "resolver.search"})
-      .add();
-  return std::nullopt;
+  if (!scratch_candidates) {
+    checked_system_generation.store(system_generation,
+                                    std::memory_order_release);
+  }
+  return true;
+}
+
+std::uint64_t ResolverCache::SearchEntry::footprint() const {
+  std::uint64_t total = sizeof(SearchEntry) + soname.size();
+  for (const auto& dir : dirs) total += sizeof(std::string) + dir.size();
+  total += candidate_versions.size() * sizeof(std::optional<std::uint64_t>);
+  return total + (result ? result->size() : 0);
+}
+
+bool ResolverCache::LddEntry::fresh(const site::Site& host) const {
+  return file_version == host.vfs.file_version(path) &&
+         (strict ? vfs_generation == host.vfs.generation()
+                 : system_generation == host.vfs.system_generation());
+}
+
+std::uint64_t ResolverCache::LddEntry::footprint() const {
+  return sizeof(LddEntry) + path.size() + payload.size();
+}
+
+std::uint64_t ResolverCache::ParseEntry::footprint() const {
+  return sizeof(ParseEntry) + (parsed ? elf_bytes(*parsed) : 0);
+}
+
+const ResolverCache::SearchEntry* ResolverCache::find_search(
+    const site::Site& host, std::string_view soname, int bits,
+    const std::vector<std::string>& dirs) {
+  return search_.find(search_fingerprint(host, soname, bits, dirs), host.name,
+                      search_answers(host, soname, bits, dirs));
 }
 
 void ResolverCache::store_search(const site::Site& host,
                                  std::string_view soname, int bits,
                                  const std::vector<std::string>& dirs,
-                                 std::optional<std::string> result) {
+                                 std::optional<std::string> result,
+                                 const site::FaultWitness& witness) {
   const std::uint64_t system_generation = host.vfs.system_generation();
-  SearchEntry entry(
-      host.lease_id(), bits, std::string(soname), dirs,
-      obs::SeriesHandle("cache.hits",
-                        {.site = host.name, .cache = "resolver.search"}));
-  entry.candidate_versions.reserve(dirs.size());
+  std::vector<std::optional<std::uint64_t>> versions;
+  versions.reserve(dirs.size());
+  bool scratch = false;
   for (const auto& dir : dirs) {
     const std::string candidate = site::Vfs::join(dir, soname);
-    entry.candidate_versions.push_back(host.vfs.file_version(candidate));
-    if (site::Vfs::scratch_path(candidate)) entry.scratch_candidates = true;
+    versions.push_back(host.vfs.file_version(candidate));
+    scratch = scratch || site::Vfs::scratch_path(candidate);
   }
-  entry.result = std::move(result);
-  entry.checked_system_generation.store(system_generation,
-                                        std::memory_order_relaxed);
-  const std::uint64_t entry_bytes =
-      sizeof(SearchEntry) +
-      search_entry_bytes(entry.soname, entry.dirs,
-                         entry.candidate_versions.size(), entry.result);
-  // insert() shadows any stale entry for this key; the shadowed node
-  // stays retained, so the footprint only grows (honest retained bytes).
-  search_.insert(search_fingerprint(host, soname, bits, dirs),
-                 std::move(entry));
-  search_footprint_.fetch_add(entry_bytes, std::memory_order_relaxed);
-  search_bytes_gauge_.add(entry_bytes);
+  // A fresh entry for this key shadows any stale one, which stays
+  // retained (and counted) so old pointers remain valid.
+  search_.fill(search_fingerprint(host, soname, bits, dirs), host.name,
+               witness, search_answers(host, soname, bits, dirs), [&] {
+                 return SearchEntry{host.lease_id(),     bits,
+                                    std::string(soname), dirs,
+                                    std::move(versions), std::move(result),
+                                    scratch,             system_generation};
+               });
 }
 
-std::optional<support::Result<std::string>> ResolverCache::ldd_text(
-    const site::Site& host, std::string_view path, bool verbose) {
+const ResolverCache::LddEntry* ResolverCache::find_ldd(const site::Site& host,
+                                                       std::string_view path,
+                                                       bool verbose) {
   const std::uint64_t env_fingerprint = host.env.fingerprint();
-  const std::uint64_t key = ldd_fingerprint(host, path, verbose,
-                                            env_fingerprint);
-  const std::uint64_t lease_id = host.lease_id();
-  const LddEntry* entry = ldd_.find_if(key, [&](const LddEntry& e) {
-    return e.lease_id == lease_id && e.verbose == verbose &&
-           e.env_fingerprint == env_fingerprint && e.path == path;
-  });
-  if (entry != nullptr && entry->file_version == host.vfs.file_version(path) &&
-      (entry->strict
-           ? entry->vfs_generation == host.vfs.generation()
-           : entry->system_generation == host.vfs.system_generation())) {
-    ldd_hits_.fetch_add(1, std::memory_order_relaxed);
-    ldd_hits_counter_.add();
-    entry->site_hits.add();
-    ldd_bytes_saved_.add(entry->payload.size());
-    if (entry->ok) return support::Result<std::string>(entry->payload);
-    return support::Result<std::string>::failure(entry->payload);
-  }
-  ldd_misses_.fetch_add(1, std::memory_order_relaxed);
-  ldd_misses_counter_.add();
-  obs::counter("cache.misses", {.site = host.name, .cache = "resolver.ldd"})
-      .add();
-  return std::nullopt;
+  return ldd_.find(ldd_fingerprint(host, path, verbose, env_fingerprint),
+                   host.name,
+                   ldd_answers(host, path, verbose, env_fingerprint));
 }
 
 void ResolverCache::store_ldd(const site::Site& host, std::string_view path,
                               bool verbose,
-                              const support::Result<std::string>& text) {
-  LddEntry entry{
-      host.lease_id(),
-      verbose,
-      std::string(path),
-      host.env.fingerprint(),
-      host.vfs.file_version(path),
-      host.vfs.system_generation(),
-      host.vfs.generation(),
-      ld_library_path_touches_scratch(host),
-      text.ok(),
-      text.ok() ? text.value() : text.error(),
-      obs::SeriesHandle("cache.hits",
-                        {.site = host.name, .cache = "resolver.ldd"})};
-  const std::uint64_t entry_bytes =
-      sizeof(LddEntry) + entry.path.size() + entry.payload.size();
-  ldd_.insert(ldd_fingerprint(host, path, verbose, entry.env_fingerprint),
-              std::move(entry));
-  ldd_footprint_.fetch_add(entry_bytes, std::memory_order_relaxed);
-  ldd_bytes_gauge_.add(entry_bytes);
+                              const support::Result<std::string>& text,
+                              const site::FaultWitness& witness) {
+  const std::uint64_t env_fingerprint = host.env.fingerprint();
+  ldd_.fill(ldd_fingerprint(host, path, verbose, env_fingerprint), host.name,
+            witness, ldd_answers(host, path, verbose, env_fingerprint), [&] {
+              return LddEntry{host.lease_id(),
+                              verbose,
+                              std::string(path),
+                              env_fingerprint,
+                              host.vfs.file_version(path),
+                              host.vfs.system_generation(),
+                              host.vfs.generation(),
+                              ld_library_path_touches_scratch(host),
+                              text.ok(),
+                              text.ok() ? text.value() : text.error()};
+            });
 }
 
 const elf::ElfFile* ResolverCache::parsed_elf(const site::Site& host,
@@ -234,41 +206,37 @@ const elf::ElfFile* ResolverCache::parsed_elf(const site::Site& host,
   const auto matches = [&](const ParseEntry& e) {
     return same_blob(e.identity, data);
   };
-  if (const ParseEntry* entry = parsed_.find_if(key, matches)) {
-    parse_hits_.fetch_add(1, std::memory_order_relaxed);
-    parse_hits_counter_.add();
-    parse_site_hits_.at(host.name).add();
-    parse_bytes_saved_.add(data->size());
-    return entry->parsed ? &*entry->parsed : nullptr;
-  }
-  // Parse with no lock held; a racing miss parses twice and the loser's
-  // insert is dropped in favour of the winner's entry. The views borrow
-  // the blob itself, which the entry keeps alive.
-  auto parsed = elf::ElfFile::parse(*data);
-  std::optional<elf::ElfFile> value;
-  if (parsed.ok()) value = std::move(parsed).take();
-  parse_misses_.fetch_add(1, std::memory_order_relaxed);
-  parse_misses_counter_.add();
-  obs::counter("cache.misses", {.site = host.name, .cache = "resolver.parse"})
-      .add();
-  const auto [entry, inserted] = parsed_.get_or_insert_if(key, matches, [&] {
-    return ParseEntry{data, value ? data : nullptr, std::move(value)};
-  });
-  if (inserted) {
-    const std::uint64_t entry_bytes =
-        sizeof(ParseEntry) + (entry->parsed ? elf_bytes(*entry->parsed) : 0);
-    parse_footprint_.fetch_add(entry_bytes, std::memory_order_relaxed);
-    parse_bytes_gauge_.add(entry_bytes);
+  const ParseEntry* entry = parsed_.find(key, host.name, matches);
+  if (entry == nullptr) {
+    // Parse with no lock held; a racing miss parses twice and the loser's
+    // entry is dropped in favour of the winner's. The views borrow the
+    // blob itself, which the entry keeps alive. Parsing reads no site
+    // state, so no fault can touch it.
+    const site::FaultWitness witness;
+    auto parsed = elf::ElfFile::parse(*data);
+    std::optional<elf::ElfFile> value;
+    if (parsed.ok()) value = std::move(parsed).take();
+    entry = parsed_.fill(key, host.name, witness, matches, [&] {
+      return ParseEntry{data, value ? data : nullptr, std::move(value)};
+    });
   }
   return entry->parsed ? &*entry->parsed : nullptr;
 }
 
-std::uint64_t ResolverCache::hits() const {
-  return search_hits() + ldd_hits() + parse_hits();
-}
-
-std::uint64_t ResolverCache::misses() const {
-  return search_misses() + ldd_misses() + parse_misses();
+ElfImage read_elf(const site::Site& host, std::string_view path,
+                  ResolverCache* cache) {
+  const site::FaultWitness witness;
+  ElfImage image;
+  image.bytes = host.vfs.read_blob(path);
+  if (image.bytes == nullptr) return image;
+  if (cache != nullptr && !witness.fired()) {
+    image.elf = cache->parsed_elf(host, image.bytes);
+  } else if (auto parsed = elf::ElfFile::parse(*image.bytes); parsed.ok()) {
+    image.owned =
+        std::make_unique<const elf::ElfFile>(std::move(parsed).take());
+    image.elf = image.owned.get();
+  }
+  return image;
 }
 
 }  // namespace feam::binutils

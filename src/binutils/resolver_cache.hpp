@@ -31,13 +31,18 @@
 //     Equal identity implies equal bytes, so the parse is a pure function
 //     of the key.
 //
-// All three memos sit on support::StripedMap: hits are lock-free (a
-// chain walk plus relaxed counter bumps), writers stripe across shards,
-// and published entries never move — parsed_elf's returned pointers stay
-// valid for the cache's lifetime. Each 64-bit map key is a fingerprint
-// of the logical key; every lookup re-verifies the entry's stored
-// identity, so fingerprint collisions degrade to misses, never wrong
-// answers.
+// All three sit on site::Memo (site/memo.hpp): hits are lock-free,
+// writers stripe across shards, published entries never move (so
+// parsed_elf's returned pointers stay valid for the cache's lifetime),
+// and the memo owns the hit/miss accounting, the cache.bytes footprint
+// and the rule that a faulted computation is never stored. Each 64-bit
+// key is a fingerprint of the logical key; every lookup re-verifies the
+// entry's stored identity, so fingerprint collisions degrade to misses,
+// never wrong answers.
+//
+// read_elf is the one way a component reads an ELF image from a site:
+// clean reads parse through the memo, while uncached runs and reads
+// touched by fault injection parse privately.
 //
 // Passing nullptr wherever a ResolverCache* is accepted reproduces the
 // uncached behaviour exactly.
@@ -53,75 +58,80 @@
 #include <vector>
 
 #include "elf/file.hpp"
-#include "obs/metrics.hpp"
+#include "site/fault.hpp"
+#include "site/memo.hpp"
 #include "site/site.hpp"
 #include "support/blob.hpp"
 #include "support/result.hpp"
-#include "support/striped_map.hpp"
 
 namespace feam::binutils {
 
 class ResolverCache {
  public:
-  ResolverCache();
-  // Releases this instance's share of the cache.bytes{cache=resolver.*}
-  // footprint gauges (entries are never evicted while the cache lives).
-  ~ResolverCache();
+  // search_library's walk over `dirs`, memoized: `dirs` must be the fully
+  // assembled search order (extra + rpath + LD_LIBRARY_PATH + defaults) —
+  // it is part of the key. A miss runs walk() and stores its result
+  // unless fault injection touched the walk.
+  template <typename Walk>
+  std::optional<std::string> search(const site::Site& host,
+                                    std::string_view soname, int bits,
+                                    const std::vector<std::string>& dirs,
+                                    Walk&& walk) {
+    if (const SearchEntry* entry = find_search(host, soname, bits, dirs)) {
+      return entry->result;
+    }
+    const site::FaultWitness witness;
+    std::optional<std::string> found = walk();
+    store_search(host, soname, bits, dirs, found, witness);
+    return found;
+  }
 
-  // Memoized search_library result, or nullopt when absent/stale.
-  // `dirs` must be the fully assembled search order (extra + rpath +
-  // LD_LIBRARY_PATH + defaults) — it is part of the key.
-  std::optional<std::optional<std::string>> search(
-      const site::Site& host, std::string_view soname, int bits,
-      const std::vector<std::string>& dirs);
-  void store_search(const site::Site& host, std::string_view soname, int bits,
-                    const std::vector<std::string>& dirs,
-                    std::optional<std::string> result);
+  // ldd's transcript of `path` under the current shell, memoized the same
+  // way: a miss runs run() and stores its text unless a fault touched it.
+  template <typename Run>
+  support::Result<std::string> ldd_text(const site::Site& host,
+                                        std::string_view path, bool verbose,
+                                        Run&& run) {
+    using R = support::Result<std::string>;
+    if (const LddEntry* entry = find_ldd(host, path, verbose)) {
+      return entry->ok ? R(entry->payload) : R::failure(entry->payload);
+    }
+    const site::FaultWitness witness;
+    R text = run();
+    store_ldd(host, path, verbose, text, witness);
+    return text;
+  }
 
-  // Memoized ldd text, or nullopt when absent/stale.
-  std::optional<support::Result<std::string>> ldd_text(const site::Site& host,
-                                                       std::string_view path,
-                                                       bool verbose);
-  void store_ldd(const site::Site& host, std::string_view path, bool verbose,
-                 const support::Result<std::string>& text);
-
-  // Parsed view of the ELF image `data` (a blob `host`'s VFS returned),
-  // memoized on the blob's identity; `host` labels the hit and miss
-  // series. Returns nullptr when the image is not valid ELF. The pointer
-  // stays valid for the cache's lifetime: entries are never evicted — a
-  // rewritten file holds a new blob and gets its own entry. The returned
-  // ElfFile's string views borrow the blob, which the entry holds, so the
-  // view survives the VFS node being rewritten or removed. A failed parse
-  // borrows nothing and keeps only the blob's identity, not its bytes.
+  // Parsed view of the ELF image `data` (a blob `host`'s VFS returned from
+  // a clean read), memoized on the blob's identity; `host` labels the hit
+  // and miss series. Returns nullptr when the image is not valid ELF. The
+  // pointer stays valid for the cache's lifetime: entries are never
+  // evicted — a rewritten file holds a new blob and gets its own entry.
+  // The returned ElfFile's string views borrow the blob, which the entry
+  // holds, so the view survives the VFS node being rewritten or removed.
+  // A failed parse borrows nothing and keeps only the blob's identity,
+  // not its bytes.
   const elf::ElfFile* parsed_elf(const site::Site& host,
                                  const support::Blob& data);
 
-  // Combined totals across the three memos (legacy view).
-  std::uint64_t hits() const;
-  std::uint64_t misses() const;
+  // Combined totals across the three memos.
+  std::uint64_t hits() const {
+    return search_.hits() + ldd_.hits() + parsed_.hits();
+  }
+  std::uint64_t misses() const {
+    return search_.misses() + ldd_.misses() + parsed_.misses();
+  }
 
   // Per-memo splits: the search walk, the ldd transcript memo, and the
   // parsed-ELF memo hit very differently (a cold parse costs ~1000x a
   // cold search), so folding them into one number hides exactly the
   // attribution a hit-rate investigation needs.
-  std::uint64_t search_hits() const {
-    return search_hits_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t search_misses() const {
-    return search_misses_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t ldd_hits() const {
-    return ldd_hits_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t ldd_misses() const {
-    return ldd_misses_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t parse_hits() const {
-    return parse_hits_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t parse_misses() const {
-    return parse_misses_.load(std::memory_order_relaxed);
-  }
+  std::uint64_t search_hits() const { return search_.hits(); }
+  std::uint64_t search_misses() const { return search_.misses(); }
+  std::uint64_t ldd_hits() const { return ldd_.hits(); }
+  std::uint64_t ldd_misses() const { return ldd_.misses(); }
+  std::uint64_t parse_hits() const { return parsed_.hits(); }
+  std::uint64_t parse_misses() const { return parsed_.misses(); }
 
  private:
   struct SearchEntry {
@@ -142,28 +152,12 @@ class ResolverCache {
     // it still matches, no non-scratch path has changed, so the stamps
     // are provably still valid and the walk can be skipped. Mutable
     // atomic: revalidation updates it in place through the const entry.
+    // Atomics aren't movable, so entries are built in place.
     mutable std::atomic<std::uint64_t> checked_system_generation{0};
-    obs::SeriesHandle site_hits;  // cache.hits{cache=resolver.search,...}
 
-    // Atomics aren't movable; moves happen only pre-publication.
-    SearchEntry(SearchEntry&& other) noexcept
-        : lease_id(other.lease_id),
-          bits(other.bits),
-          soname(std::move(other.soname)),
-          dirs(std::move(other.dirs)),
-          candidate_versions(std::move(other.candidate_versions)),
-          result(std::move(other.result)),
-          scratch_candidates(other.scratch_candidates),
-          checked_system_generation(other.checked_system_generation.load(
-              std::memory_order_relaxed)),
-          site_hits(other.site_hits) {}
-    SearchEntry(std::uint64_t lease, int b, std::string so,
-                std::vector<std::string> ds, obs::SeriesHandle hits)
-        : lease_id(lease),
-          bits(b),
-          soname(std::move(so)),
-          dirs(std::move(ds)),
-          site_hits(hits) {}
+    // True while every candidate stamp still holds on `host`.
+    bool fresh(const site::Site& host) const;
+    std::uint64_t footprint() const;
   };
 
   struct LddEntry {
@@ -180,7 +174,9 @@ class ResolverCache {
     bool strict = false;
     bool ok = false;
     std::string payload;  // text when ok, error message otherwise
-    obs::SeriesHandle site_hits;  // cache.hits{cache=resolver.ldd,...}
+
+    bool fresh(const site::Site& host) const;
+    std::uint64_t footprint() const;
   };
 
   struct ParseEntry {
@@ -191,43 +187,43 @@ class ResolverCache {
     // parse, which borrows nothing.
     support::Blob bytes;
     std::optional<elf::ElfFile> parsed;  // nullopt caches a parse failure
+    std::uint64_t footprint() const;
   };
 
-  support::StripedMap<std::uint64_t, SearchEntry> search_;
-  support::StripedMap<std::uint64_t, LddEntry> ldd_;
-  support::StripedMap<std::uint64_t, ParseEntry> parsed_;
-  std::atomic<std::uint64_t> search_hits_{0};
-  std::atomic<std::uint64_t> search_misses_{0};
-  std::atomic<std::uint64_t> ldd_hits_{0};
-  std::atomic<std::uint64_t> ldd_misses_{0};
-  std::atomic<std::uint64_t> parse_hits_{0};
-  std::atomic<std::uint64_t> parse_misses_{0};
-  // Pre-resolved metric series: these paths hit hundreds of thousands of
-  // times per matrix run, so the per-hit cost must stay one relaxed
-  // atomic (site-labeled hit series are pre-resolved per entry; the rare
-  // miss paths take the registry lookup).
-  obs::SeriesHandle search_hits_counter_{"resolver.search_hits", {}};
-  obs::SeriesHandle search_misses_counter_{"resolver.search_misses", {}};
-  obs::SeriesHandle ldd_hits_counter_{"resolver.ldd_hits", {}};
-  obs::SeriesHandle ldd_misses_counter_{"resolver.ldd_misses", {}};
-  obs::SeriesHandle ldd_bytes_saved_{"resolver.ldd_bytes_saved", {}};
-  obs::SeriesHandle parse_hits_counter_{"resolver.parse_hits", {}};
-  obs::SeriesHandle parse_misses_counter_{"resolver.parse_misses", {}};
-  obs::SeriesHandle parse_bytes_saved_{"resolver.parse_bytes_saved", {}};
+  const SearchEntry* find_search(const site::Site& host,
+                                 std::string_view soname, int bits,
+                                 const std::vector<std::string>& dirs);
+  void store_search(const site::Site& host, std::string_view soname, int bits,
+                    const std::vector<std::string>& dirs,
+                    std::optional<std::string> result,
+                    const site::FaultWitness& witness);
+  const LddEntry* find_ldd(const site::Site& host, std::string_view path,
+                           bool verbose);
+  void store_ldd(const site::Site& host, std::string_view path, bool verbose,
+                 const support::Result<std::string>& text,
+                 const site::FaultWitness& witness);
+
+  site::Memo<SearchEntry> search_{"resolver.search"};
+  site::Memo<LddEntry> ldd_{"resolver.ldd"};
   // Parse entries serve every site, so hits are labeled by the site that
   // looks up, not the one that filled the entry.
-  obs::SiteSeriesCache parse_site_hits_{"cache.hits", "resolver.parse"};
-  // Estimated retained bytes per memo, mirrored into the process-wide
-  // cache.bytes{cache=resolver.search|resolver.ldd|resolver.parse}
-  // gauges. Shadowed (stale) entries stay retained, so footprints only
-  // grow while the cache lives. Blob payloads are shared with the VFS
-  // and are not counted.
-  obs::Gauge& search_bytes_gauge_;
-  obs::Gauge& ldd_bytes_gauge_;
-  obs::Gauge& parse_bytes_gauge_;
-  std::atomic<std::uint64_t> search_footprint_{0};
-  std::atomic<std::uint64_t> ldd_footprint_{0};
-  std::atomic<std::uint64_t> parse_footprint_{0};
+  site::Memo<ParseEntry> parsed_{"resolver.parse"};
 };
+
+// An ELF image read from a site. `elf` is null when the read failed or
+// the bytes are not valid ELF; otherwise it lives in the cache's parse
+// memo or, for an uncached or faulted read, in `owned`, whose views
+// borrow `bytes`. Moving the image keeps `elf` valid.
+struct ElfImage {
+  support::Blob bytes;
+  const elf::ElfFile* elf = nullptr;
+  std::unique_ptr<const elf::ElfFile> owned;
+};
+
+// Reads `path` on `host` and parses it: through `cache`'s parse memo when
+// one is given and no fault touched the read, privately otherwise, so
+// faulted bytes never reach the memo.
+ElfImage read_elf(const site::Site& host, std::string_view path,
+                  ResolverCache* cache);
 
 }  // namespace feam::binutils

@@ -594,7 +594,11 @@ int fleet_command(const Options& opts, report::RunContext& ctx) {
   }
   if (opts.fleet_sites > 0) spec.sites = opts.fleet_sites;
   if (opts.fleet_workloads > 0) spec.workloads = opts.fleet_workloads;
-  if (opts.fleet_drift >= 0.0) spec.drift_rate = opts.fleet_drift;
+  if (opts.fleet_drift) spec.drift_rate = *opts.fleet_drift;
+  if (const auto checked = fleet::validate_fleet_spec(spec); !checked.ok()) {
+    std::fprintf(stderr, "feam: %s\n", checked.error().c_str());
+    return 64;
+  }
   ctx.binary = spec.name;
 
   fleet::Fleet fleet = fleet::generate_fleet(spec, opts.fleet_seed);

@@ -61,7 +61,7 @@ struct Options {
   std::uint64_t fleet_seed = 42;  // --seed N, the fleet's master seed
   int fleet_sites = 0;      // --sites N override (0 = use spec)
   int fleet_workloads = 0;  // --workloads N override (0 = use spec)
-  double fleet_drift = -1.0;  // --drift R override (< 0 = use spec)
+  std::optional<double> fleet_drift;  // --drift R override
   std::string manifest_out;  // feam.fleet_manifest/1 JSON output path
   std::string matrix_out;    // rendered readiness-matrix text output path
   std::string records_out;   // feam.run_record/1 JSONL output path

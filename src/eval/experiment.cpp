@@ -69,10 +69,10 @@ std::uint64_t source_output_bytes(const feam::SourcePhaseOutput& output) {
 
 }  // namespace
 
-struct Experiment::SourceMemoEntry {
-  std::mutex mutex;
-  std::optional<support::Result<feam::SourcePhaseOutput>> value;
-};
+std::uint64_t Experiment::SourceEntry::footprint() const {
+  return sizeof(SourceEntry) + home_site.size() + path.size() +
+         (output.ok() ? source_output_bytes(output.value()) : 0);
+}
 
 Experiment::Experiment(ExperimentOptions options)
     : options_(std::move(options)),
@@ -93,11 +93,6 @@ Experiment::Experiment(ExperimentOptions options)
       injectors_.push_back(std::move(injector));
     }
   }
-}
-
-Experiment::~Experiment() {
-  obs::gauge("cache.bytes", {.cache = "source"})
-      .sub(source_footprint_.load(std::memory_order_relaxed));
 }
 
 Site& Experiment::site(std::string_view name) {
@@ -168,59 +163,45 @@ const support::Result<feam::SourcePhaseOutput>& Experiment::source_phase_for(
   // the innermost lock a worker ever takes, so it cannot cycle with the
   // per-job artifact leases held across migrate_one.
   const auto run_fresh = [&] {
-    site::SubtreeLeases lease({{&home, binary.path}});
     site::ShellSession shell(home);
     home.unload_all_modules();
     home.load_module(module_name_of(binary.stack));
     return feam::run_source_phase(home, binary.path, config, caches_.get());
   };
   if (caches_ == nullptr) {
+    site::SubtreeLeases lease({{&home, binary.path}});
     local.emplace(run_fresh());
     return *local;
   }
-  SourceMemoEntry* entry = nullptr;
-  {
-    std::lock_guard<std::mutex> lock(source_memo_mutex_);
-    auto& slot = source_memo_[binary.home_site + "|" + binary.path];
-    if (!slot) slot = std::make_unique<SourceMemoEntry>();
-    entry = slot.get();
+  const std::uint64_t key =
+      support::fnv1a_mix(support::fnv1a(binary.home_site), binary.path);
+  const auto matches = [&](const SourceEntry& e) {
+    return e.home_site == binary.home_site && e.path == binary.path;
+  };
+  if (const SourceEntry* entry = source_memo_.find(key, home.name, matches)) {
+    return entry->output;
   }
-  // Per-entry mutex: two workers migrating the same binary wait on each
-  // other here, while different binaries compute concurrently. The lock
-  // order is job-artifact leases -> entry mutex -> home binary lease; no
-  // holder of an entry mutex or binary lease ever waits on a job-artifact
-  // lease (those are unique to their job), so no cycle.
-  std::lock_guard<std::mutex> lock(entry->mutex);
-  if (entry->value) {
-    source_hits_.fetch_add(1, std::memory_order_relaxed);
-    obs::counter("source_phase.memo_hits").add();
-    obs::counter("cache.hits", {.site = binary.home_site, .cache = "source"})
-        .add();
-    return *entry->value;
+  // Single flight: a worker that misses takes the binary lease and looks
+  // again, so without faults a binary's source phase runs once however
+  // many workers migrate it.
+  site::SubtreeLeases lease({{&home, binary.path}});
+  if (const SourceEntry* entry = source_memo_.find(key, home.name, matches)) {
+    return entry->output;
   }
-  const auto* injector = home.vfs.fault_injector();
-  const std::uint64_t faults_before =
-      injector != nullptr ? injector->fault_count() : 0;
+  const site::FaultWitness witness;
   auto fresh = run_fresh();
-  if (injector != nullptr && injector->fault_count() != faults_before) {
-    // A faulted source phase describes a home site that never existed;
-    // hand it to this caller (who attributes the pair) but never memoize
-    // it — the next migration of this binary recomputes cleanly.
-    local.emplace(std::move(fresh));
-    return *local;
+  if (const SourceEntry* entry =
+          source_memo_.fill(key, home.name, witness, matches, [&] {
+            return SourceEntry{binary.home_site, binary.path,
+                               std::move(fresh)};
+          })) {
+    return entry->output;
   }
-  source_misses_.fetch_add(1, std::memory_order_relaxed);
-  obs::counter("source_phase.memo_misses").add();
-  obs::counter("cache.misses", {.site = binary.home_site, .cache = "source"})
-      .add();
-  entry->value.emplace(std::move(fresh));
-  std::uint64_t entry_bytes = sizeof(SourceMemoEntry);
-  if (entry->value->ok()) {
-    entry_bytes += source_output_bytes(entry->value->value());
-  }
-  source_footprint_.fetch_add(entry_bytes, std::memory_order_relaxed);
-  obs::gauge("cache.bytes", {.cache = "source"}).add(entry_bytes);
-  return *entry->value;
+  // A faulted source phase describes a home site that never existed; hand
+  // it to this caller (who attributes the pair) but never memoize it —
+  // the next migration of this binary recomputes cleanly.
+  local.emplace(std::move(fresh));
+  return *local;
 }
 
 std::optional<MigrationResult> Experiment::migrate_one(
@@ -248,18 +229,11 @@ std::optional<MigrationResult> Experiment::migrate_one(
   feam::FeamConfig config;
   config.hello_world_ranks = options_.ranks;
 
-  // Injected faults at either site during this pair taint the whole pair:
-  // predictions and execution outcomes may reflect a site view that never
-  // really existed. The snapshot/delta is exact under sequential runs; a
-  // parallel faulted run can over-attribute (another worker's fault on a
-  // shared site lands in the window), never under-attribute.
-  const auto fault_total = [&]() -> std::uint64_t {
-    const auto* h = home.vfs.fault_injector();
-    const auto* t = target.vfs.fault_injector();
-    return (h != nullptr ? h->fault_count() : 0) +
-           (t != nullptr ? t->fault_count() : 0);
-  };
-  const std::uint64_t faults_at_start = fault_total();
+  // Injected faults during this pair taint the whole pair: predictions
+  // and execution outcomes may reflect a site view that never really
+  // existed. The pair runs on this thread throughout, so the witness sees
+  // exactly its faults, never another worker's on a shared site.
+  const site::FaultWitness witness;
 
   // One lease vector for the whole job, over exactly the subtrees this
   // migration mutates at the target. Held up front and for the duration
@@ -410,7 +384,7 @@ std::optional<MigrationResult> Experiment::migrate_one(
     target.vfs.remove(resolution_root);
   }
 
-  if (fault_total() != faults_at_start) {
+  if (witness.fired()) {
     result.failure_attribution = "io";
     result.failure_detail =
         "injected Vfs fault(s) during migration to " + target.name;

@@ -16,13 +16,13 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "feam/caches.hpp"
 #include "feam/phases.hpp"
+#include "site/memo.hpp"
 #include "site/site.hpp"
 #include "toolchain/launcher.hpp"
 #include "workloads/benchmarks.hpp"
@@ -115,7 +115,6 @@ struct ExperimentOptions {
 class Experiment {
  public:
   explicit Experiment(ExperimentOptions options = {});
-  ~Experiment();
 
   // Compiles the benchmark matrix (Table II stacks x suites), dropping
   // combinations that do not compile or do not run at their home site
@@ -137,8 +136,8 @@ class Experiment {
   // Memoization stats for the benches; caches() is null when
   // options.use_caches is false.
   const feam::MigrationCaches* caches() const { return caches_.get(); }
-  std::uint64_t source_phase_hits() const { return source_hits_; }
-  std::uint64_t source_phase_misses() const { return source_misses_; }
+  std::uint64_t source_phase_hits() const { return source_memo_.hits(); }
+  std::uint64_t source_phase_misses() const { return source_memo_.misses(); }
 
   // (binary, site) pairs skipped because the site lacks the matching MPI
   // implementation. At those sites FEAM trivially (and correctly) predicts
@@ -150,7 +149,13 @@ class Experiment {
   site::Site& site(std::string_view name);
 
  private:
-  struct SourceMemoEntry;
+  // One memoized source phase, keyed on (home site, binary path).
+  struct SourceEntry {
+    std::string home_site;
+    std::string path;
+    support::Result<feam::SourcePhaseOutput> output;
+    std::uint64_t footprint() const;
+  };
 
   std::optional<MigrationResult> migrate_one(const TestBinary& binary,
                                              site::Site& target);
@@ -175,14 +180,7 @@ class Experiment {
   // Per-site fault injectors (empty when vfs_fault_rate == 0), index-
   // aligned with sites_.
   std::vector<std::shared_ptr<site::FaultInjector>> injectors_;
-  std::mutex source_memo_mutex_;
-  std::map<std::string, std::unique_ptr<SourceMemoEntry>> source_memo_;
-  std::atomic<std::uint64_t> source_hits_{0};
-  std::atomic<std::uint64_t> source_misses_{0};
-  // Estimated bytes retained by the source-phase memo, mirrored into the
-  // process-wide cache.bytes{cache=source} gauge and released on
-  // destruction (the memo dies with the Experiment).
-  std::atomic<std::uint64_t> source_footprint_{0};
+  site::Memo<SourceEntry> source_memo_{"source"};
 };
 
 }  // namespace feam::eval

@@ -3,7 +3,6 @@
 #include <utility>
 
 #include "feam/bdc.hpp"
-#include "obs/metrics.hpp"
 #include "obs/provenance.hpp"
 #include "support/rng.hpp"
 
@@ -47,38 +46,27 @@ std::uint64_t environment_bytes(const EnvironmentDescription& e) {
 
 }  // namespace
 
-BdcCache::BdcCache()
-    : footprint_gauge_(obs::gauge("cache.bytes", {.cache = "bdc"})) {}
+std::uint64_t BdcCache::Entry::footprint() const {
+  return sizeof(Entry) + description_bytes(description);
+}
 
-BdcCache::~BdcCache() {
-  footprint_gauge_.sub(footprint_.load(std::memory_order_relaxed));
+std::uint64_t EdcMemo::Entry::footprint() const {
+  return sizeof(Entry) + environment_bytes(description) +
+         obs::evidence_bytes(evidence);
 }
 
 support::Result<BinaryDescription> BdcCache::describe(const site::Site& s,
                                                       std::string_view path) {
-  const auto* injector = s.vfs.fault_injector();
-  const std::uint64_t faults_before =
-      injector != nullptr ? injector->fault_count() : 0;
+  const site::FaultWitness witness;
   const support::Blob bytes = s.vfs.read_blob(path);
-  if (injector != nullptr && injector->fault_count() != faults_before) {
-    // The read was touched by fault injection: the bytes (or their
-    // absence) are not the file's content, so the memo may not see them.
-    // Fall through to the uncached component, whose result the caller
-    // attributes.
-    return Bdc::describe(s, path);
-  }
-  if (bytes == nullptr) {
-    // Let the component produce its usual diagnostic for a missing file.
-    return Bdc::describe(s, path);
-  }
+  // A missing file gets the component's usual diagnostic. Faulted bytes
+  // (or their absence) are not the file's content, so they never form a
+  // key; the caller attributes the uncached result.
+  if (bytes == nullptr || witness.fired()) return Bdc::describe(s, path);
   const std::uint64_t key = support::fnv1a_mix(
       kFnvBasis, reinterpret_cast<std::uintptr_t>(bytes.get()));
   const auto matches = [&](const Entry& e) { return e.bytes == bytes; };
-  if (const Entry* entry = entries_.find_if(key, matches)) {
-    hits_.fetch_add(1, std::memory_order_relaxed);
-    legacy_hits_.add();
-    site_hits_.at(s.name).add();
-    bytes_saved_.add(bytes->size());
+  if (const Entry* entry = memo_.find(key, s.name, matches)) {
     BinaryDescription d = entry->description;
     d.path = std::string(path);
     if (obs::provenance_active()) {
@@ -87,35 +75,16 @@ support::Result<BinaryDescription> BdcCache::describe(const site::Site& s,
     return d;
   }
   // Miss: parse with no lock held — the caller holds the site lease, so
-  // the file cannot change underneath us.
+  // the file cannot change underneath us. The component re-reads the
+  // file; the witness keeps a faulted re-read out of the memo.
   support::Result<BinaryDescription> described = Bdc::describe(s, path);
-  // The component re-reads the file itself; if any of those reads were
-  // faulted, the description doesn't correspond to `bytes` and must not
-  // be memoized under it.
-  if (injector != nullptr && injector->fault_count() != faults_before) {
+  if (!described.ok()) {
+    memo_.miss(s.name);
     return described;
   }
-  misses_.fetch_add(1, std::memory_order_relaxed);
-  legacy_misses_.add();
-  obs::counter("cache.misses", {.site = s.name, .cache = "bdc"}).add();
-  if (described.ok()) {
-    const auto [entry, inserted] = entries_.get_or_insert_if(
-        key, matches, [&] { return Entry{bytes, described.value()}; });
-    if (inserted) {
-      const std::uint64_t added =
-          sizeof(Entry) + description_bytes(entry->description);
-      footprint_.fetch_add(added, std::memory_order_relaxed);
-      footprint_gauge_.add(added);
-    }
-  }
+  memo_.fill(key, s.name, witness, matches,
+             [&] { return Entry{bytes, described.value()}; });
   return described;
-}
-
-EdcMemo::EdcMemo()
-    : footprint_gauge_(obs::gauge("cache.bytes", {.cache = "edc"})) {}
-
-EdcMemo::~EdcMemo() {
-  footprint_gauge_.sub(footprint_.load(std::memory_order_relaxed));
 }
 
 EnvironmentDescription EdcMemo::discover(const site::Site& s) {
@@ -126,10 +95,7 @@ EnvironmentDescription EdcMemo::discover(const site::Site& s) {
   const auto matches = [&](const Entry& e) {
     return e.lease_id == lease_id && e.fingerprint == fingerprint;
   };
-  if (const Entry* entry = entries_.find_if(key, matches)) {
-    hits_.fetch_add(1, std::memory_order_relaxed);
-    legacy_hits_.add();
-    entry->site_hits.add();
+  if (const Entry* entry = memo_.find(key, s.name, matches)) {
     obs::replay_evidence(entry->evidence);
     return entry->description;
   }
@@ -137,33 +103,12 @@ EnvironmentDescription EdcMemo::discover(const site::Site& s) {
   // caller's site lease guarantees no concurrent scan of *this* site.
   // The capture frame tees the scan's evidence for the entry while still
   // forwarding it to the enclosing evaluation's provenance scope.
-  const auto* injector = s.vfs.fault_injector();
-  const std::uint64_t faults_before =
-      injector != nullptr ? injector->fault_count() : 0;
+  const site::FaultWitness witness;
   obs::EvidenceCapture capture;
   EnvironmentDescription description = Edc::discover(s);
-  std::vector<obs::Evidence> evidence = capture.take();
-  // A scan that hit injected faults saw a degraded view of an unchanged
-  // site; memoizing it (description *or* evidence) would serve that view
-  // to every later migration.
-  if (injector != nullptr && injector->fault_count() != faults_before) {
-    return description;
-  }
-  misses_.fetch_add(1, std::memory_order_relaxed);
-  legacy_misses_.add();
-  obs::counter("cache.misses", {.site = s.name, .cache = "edc"}).add();
-  const auto [entry, inserted] = entries_.get_or_insert_if(key, matches, [&] {
-    return Entry{lease_id, fingerprint, description, std::move(evidence),
-                 obs::SeriesHandle("cache.hits",
-                                   {.site = s.name, .cache = "edc"})};
+  memo_.fill(key, s.name, witness, matches, [&] {
+    return Entry{lease_id, fingerprint, description, capture.take()};
   });
-  if (inserted) {
-    const std::uint64_t added = sizeof(Entry) +
-                                environment_bytes(entry->description) +
-                                obs::evidence_bytes(entry->evidence);
-    footprint_.fetch_add(added, std::memory_order_relaxed);
-    footprint_gauge_.add(added);
-  }
   return description;
 }
 

@@ -1,6 +1,8 @@
 #include "fleet/spec.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <utility>
 
 namespace feam::fleet {
 
@@ -16,15 +18,63 @@ R fail(const std::string& detail) {
 
 // Bounds generous enough for any sane experiment; tight enough that a
 // fuzzer cannot request a terabyte fleet.
-constexpr int kMaxSites = 100000;
-constexpr int kMaxWorkloads = 100000;
-constexpr int kMaxStacks = 16;
+struct IntField {
+  const char* key;
+  int FleetSpec::*field;
+  int max;
+};
+constexpr IntField kIntFields[] = {
+    {"sites", &FleetSpec::sites, 100000},
+    {"workloads", &FleetSpec::workloads, 100000},
+    {"max_stacks_per_site", &FleetSpec::max_stacks_per_site, 16}};
 
-bool finite_number(const Json& v) {
-  return v.is_number() && std::isfinite(v.as_number());
+struct RateField {
+  const char* key;
+  double FleetSpec::*field;
+  int max;
+  bool zero_ok;  // [0, max] rather than (0, max]
+};
+constexpr RateField kRateFields[] = {
+    {"drift_rate", &FleetSpec::drift_rate, 16, true},
+    {"broken_module_rate", &FleetSpec::broken_module_rate, 1, true},
+    {"symlink_farm_rate", &FleetSpec::symlink_farm_rate, 1, true},
+    {"container_rate", &FleetSpec::container_rate, 1, true},
+    {"ppc_rate", &FleetSpec::ppc_rate, 1, true},
+    {"library_scale", &FleetSpec::library_scale, 1, false}};
+
+template <typename Field, std::size_t N>
+const Field* field_named(const Field (&fields)[N], std::string_view key) {
+  for (const Field& f : fields) {
+    if (key == f.key) return &f;
+  }
+  return nullptr;
 }
 
 }  // namespace
+
+support::Result<FleetSpec> validate_fleet_spec(FleetSpec spec) {
+  if (spec.name.empty()) return fail("name must be a non-empty string");
+  for (const char c : spec.name) {
+    const bool ok = (c >= 'a' && c <= 'z') || (c >= '0' && c <= '9') ||
+                    c == '-' || c == '_';
+    if (!ok) return fail("name must be a lowercase slug");
+  }
+  for (const IntField& f : kIntFields) {
+    if (spec.*f.field < 1 || spec.*f.field > f.max) {
+      return fail(std::string(f.key) + " must be in [1, " +
+                  std::to_string(f.max) + "]");
+    }
+  }
+  for (const RateField& f : kRateFields) {
+    // Written so that NaN fails: no comparison with NaN is true.
+    const double v = spec.*f.field;
+    if (!((f.zero_ok ? v >= 0 : v > 0) && v <= f.max)) {
+      return fail(std::string(f.key) + " must be in " +
+                  (f.zero_ok ? "[0, " : "(0, ") + std::to_string(f.max) + "]");
+    }
+  }
+  return spec;
+}
 
 support::Result<FleetSpec> parse_fleet_spec(std::string_view text) {
   const auto parsed = Json::parse(text);
@@ -32,6 +82,7 @@ support::Result<FleetSpec> parse_fleet_spec(std::string_view text) {
   const Json& doc = *parsed;
   if (!doc.is_object()) return fail("top level must be an object");
 
+  // Type checks here; every range check is validate_fleet_spec's.
   FleetSpec spec;
   for (const auto& [key, value] : doc.as_object()) {
     if (key == "schema") {
@@ -40,69 +91,23 @@ support::Result<FleetSpec> parse_fleet_spec(std::string_view text) {
                     "\"");
       }
     } else if (key == "name") {
-      if (!value.is_string() || value.as_string().empty()) {
-        return fail("name must be a non-empty string");
-      }
-      for (const char c : value.as_string()) {
-        const bool ok = (c >= 'a' && c <= 'z') || (c >= '0' && c <= '9') ||
-                        c == '-' || c == '_';
-        if (!ok) return fail("name must be a lowercase slug");
-      }
+      if (!value.is_string()) return fail("name must be a non-empty string");
       spec.name = value.as_string();
-    } else if (key == "sites" || key == "workloads" ||
-               key == "max_stacks_per_site") {
-      if (!finite_number(value) ||
-          value.as_number() != std::floor(value.as_number())) {
+    } else if (const IntField* int_field = field_named(kIntFields, key)) {
+      const double n = value.is_number() ? value.as_number() : std::nan("");
+      if (!std::isfinite(n) || n != std::floor(n)) {
         return fail(key + " must be an integer");
       }
-      const double n = value.as_number();
-      const int limit = key == "sites"       ? kMaxSites
-                        : key == "workloads" ? kMaxWorkloads
-                                             : kMaxStacks;
-      if (n < 1 || n > limit) {
-        return fail(key + " must be in [1, " + std::to_string(limit) + "]");
-      }
-      const int v = static_cast<int>(n);
-      if (key == "sites") {
-        spec.sites = v;
-      } else if (key == "workloads") {
-        spec.workloads = v;
-      } else {
-        spec.max_stacks_per_site = v;
-      }
-    } else if (key == "drift_rate") {
-      if (!finite_number(value) || value.as_number() < 0 ||
-          value.as_number() > 16) {
-        return fail("drift_rate must be in [0, 16]");
-      }
-      spec.drift_rate = value.as_number();
-    } else if (key == "broken_module_rate" || key == "symlink_farm_rate" ||
-               key == "container_rate" || key == "ppc_rate") {
-      if (!finite_number(value) || value.as_number() < 0 ||
-          value.as_number() > 1) {
-        return fail(key + " must be in [0, 1]");
-      }
-      const double v = value.as_number();
-      if (key == "broken_module_rate") {
-        spec.broken_module_rate = v;
-      } else if (key == "symlink_farm_rate") {
-        spec.symlink_farm_rate = v;
-      } else if (key == "container_rate") {
-        spec.container_rate = v;
-      } else {
-        spec.ppc_rate = v;
-      }
-    } else if (key == "library_scale") {
-      if (!finite_number(value) || value.as_number() <= 0 ||
-          value.as_number() > 1) {
-        return fail("library_scale must be in (0, 1]");
-      }
-      spec.library_scale = value.as_number();
+      // Saturated, not overflowed: the validator rejects the range.
+      spec.*int_field->field = static_cast<int>(std::clamp(n, 0.0, 1e6));
+    } else if (const RateField* rate = field_named(kRateFields, key)) {
+      // A non-number becomes NaN, which fails the field's range.
+      spec.*rate->field = value.is_number() ? value.as_number() : std::nan("");
     } else {
       return fail("unknown key \"" + key + "\"");
     }
   }
-  return spec;
+  return validate_fleet_spec(std::move(spec));
 }
 
 support::Json fleet_spec_to_json(const FleetSpec& spec) {

@@ -52,6 +52,11 @@ struct FleetSpec {
 // ErrorCode::kSpecParse.
 support::Result<FleetSpec> parse_fleet_spec(std::string_view text);
 
+// The range rules parse_fleet_spec enforces, applied to a spec built any
+// other way (`feam fleet`'s --sites/--workloads/--drift overrides).
+// Rejections carry ErrorCode::kSpecParse and the parser's own messages.
+support::Result<FleetSpec> validate_fleet_spec(FleetSpec spec);
+
 // Inverse of parse_fleet_spec: emits every field plus the schema tag.
 // Byte-stable (Json objects are sorted maps).
 support::Json fleet_spec_to_json(const FleetSpec& spec);

@@ -434,18 +434,16 @@ Gauge& gauge(std::string_view name, const Labels& labels) {
   return metrics().gauge(name, labels);
 }
 
-SeriesHandle::SeriesHandle(std::string_view name, const Labels& labels)
-    : counter_(&metrics().counter(name, labels)) {}
-
-const SeriesHandle& SiteSeriesCache::at(std::string_view site) {
+Counter& SiteSeriesCache::at(std::string_view site) {
   const std::uint64_t key = support::fnv1a(site);
   const auto matches = [&](const Slot& slot) { return slot.site == site; };
   // Lock-free once the site has a slot: get_or_insert_if looks up first.
   const auto make = [&] {
-    return Slot{std::string(site),
-                SeriesHandle(name_, {.site = site, .cache = cache_label_})};
+    Counter& series =
+        metrics().counter(name_, {.site = site, .cache = cache_label_});
+    return Slot{std::string(site), &series};
   };
-  return slots_.get_or_insert_if(key, matches, make).first->handle;
+  return *slots_.get_or_insert_if(key, matches, make).first->counter;
 }
 
 std::function<void(std::uint64_t, std::uint64_t)> pool_task_recorder() {

@@ -52,11 +52,13 @@ class Counter {
 // cheaply. There is deliberately no free-form key/value API: unbounded
 // labels would turn the registry into a leak.
 //
-// A labeled metric is a *separate series* from the unlabeled one: callers
-// that re-key a hot counter per site keep recording the unlabeled total as
-// well, so legacy consumers (gate baselines, run records) see unchanged
-// numbers and `sum over labels == unlabeled total` becomes a checkable
-// invariant of the stream.
+// A labeled metric is a *separate series* from the unlabeled one. Callers
+// that re-key a hot series per site and still need the total record both
+// (lease.wait_ns), so `sum over labels == unlabeled total` is a checkable
+// invariant of the stream. The memo families have no unlabeled twin:
+// cache.hits/cache.misses exist only per {cache, site}, consumers sum
+// over labels (the trend gate's `hitrate.cache`), and each memo's
+// hits()/misses() equal those sums.
 struct Labels {
   std::string_view site{};
   std::string_view cache{};
@@ -245,37 +247,21 @@ Counter& counter(std::string_view name, const Labels& labels);
 Histogram& histogram(std::string_view name, const Labels& labels);
 Gauge& gauge(std::string_view name, const Labels& labels);
 
-// A pre-resolved labeled counter: building the canonical
-// `name{k=v,...}` key and taking the registry mutex happen once, in the
-// constructor, so per-hit cost on a memo fast path is a single relaxed
-// atomic. Handles bind to the process-wide registry (whose references are
-// stable for the process lifetime) and are cheap to copy.
-class SeriesHandle {
- public:
-  SeriesHandle(std::string_view name, const Labels& labels);
-  // Logically const: the handle is an immutable binding to a registry
-  // counter, so cache entries published behind const pointers can bump it.
-  void add(std::uint64_t delta = 1) const { counter_->add(delta); }
-  std::uint64_t value() const { return counter_->value(); }
-
- private:
-  Counter* counter_;
-};
-
-// SeriesHandles for one `name{cache=...,site=<varies>}` family, resolved
-// on a site's first use. Lock-free afterwards: a lookup is one chain walk,
-// so a memo hit labeled by the looking-up site costs one relaxed atomic.
+// Counters for one `name{cache=...,site=<varies>}` family, resolved in
+// the registry on a site's first use. Lock-free afterwards: a lookup is
+// one chain walk, so a memo hit labeled by the looking-up site costs one
+// relaxed atomic.
 class SiteSeriesCache {
  public:
   SiteSeriesCache(std::string name, std::string cache_label)
       : name_(std::move(name)), cache_label_(std::move(cache_label)) {}
 
-  const SeriesHandle& at(std::string_view site);
+  Counter& at(std::string_view site);
 
  private:
   struct Slot {
     std::string site;
-    SeriesHandle handle;
+    Counter* counter;
   };
   std::string name_;
   std::string cache_label_;

@@ -94,7 +94,7 @@ struct Timeseries {
 
 // Per-cache hit/miss roll-up over a sample range, keyed by the `cache`
 // label of the dimensional `cache.hits` / `cache.misses` series (summed
-// across sites). The zero-label legacy counters are not consulted.
+// across sites).
 struct CacheWindow {
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;

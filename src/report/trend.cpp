@@ -72,18 +72,17 @@ std::optional<double> evaluate(const Timeseries& series,
     return sum / static_cast<double>(to - window.from);
   }
   if (selector.rfind("hitrate.", 0) == 0) {
-    // Both naming styles count: flat legacy counters (`bdc.cache_hits`) and
-    // the dimensional family (`cache.hits{cache=...,site=...}`, summed over
-    // labels) — the base name must be PREFIX_hits / PREFIX.hits.
+    // The dimensional family PREFIX.hits / PREFIX.misses, summed over
+    // labels (`hitrate.cache` rolls up every cache.hits{cache=...,site=...}).
     const std::string prefix{selector.substr(8)};
     std::uint64_t hits = 0, misses = 0;
     const std::size_t to = std::min(window.to, series.samples.size());
     for (std::size_t i = window.from; i < to; ++i) {
       for (const auto& [name, delta] : series.samples[i].counter_deltas) {
         const std::string base = obs::parse_series(name).name;
-        if (base == prefix + "_hits" || base == prefix + ".hits") {
+        if (base == prefix + ".hits") {
           hits += delta;
-        } else if (base == prefix + "_misses" || base == prefix + ".misses") {
+        } else if (base == prefix + ".misses") {
           misses += delta;
         }
       }

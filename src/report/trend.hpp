@@ -10,7 +10,7 @@
 //    "steady_state": {"skip_head_fraction": 0.25, "min_samples": 8},
 //    "metrics": {
 //      "hist.phase.target_ns.p99":  {"max_drift": 1.0},
-//      "hitrate.bdc.cache":         {"max_drop": 0.2, "min_late": 0.4},
+//      "hitrate.cache":             {"max_drop": 0.2, "min_late": 0.4},
 //      "rate.phase.target_runs":    {"max_drop": 0.5}}}
 //
 // Metric selectors (evaluated over a group of sample windows):
@@ -20,9 +20,9 @@
 //     carry-forward track (e.g. gauge.process.rss_bytes.mean catches
 //     steady-state RSS growth that endpoint totals hide)
 //   hitrate.<prefix>                       — hits/(hits+misses) where a
-//     series' base name is <prefix>_hits|_misses or <prefix>.hits|.misses,
-//     summed across label values (so `hitrate.cache` rolls up the whole
-//     dimensional cache.hits/cache.misses family)
+//     series' base name is <prefix>.hits|.misses, summed across label
+//     values (so `hitrate.cache` rolls up the whole dimensional
+//     cache.hits/cache.misses family)
 // Spec keys:
 //   max_drift — larger-is-worse: (late-early)/early must not exceed it
 //   max_drop  — larger-is-better: (early-late)/early must not exceed it

@@ -2,6 +2,12 @@
 
 namespace feam::site {
 
+namespace {
+thread_local std::uint64_t t_faults = 0;
+}  // namespace
+
+std::uint64_t faults_on_this_thread() { return t_faults; }
+
 std::string_view fault_kind_name(FaultKind kind) {
   switch (kind) {
     case FaultKind::kNone: return "none";
@@ -34,6 +40,7 @@ FaultKind FaultInjector::decide(std::string_view op, std::string_view path) {
   if (kinds.empty()) return FaultKind::kNone;
   const FaultKind kind = kinds[draw.next_below(kinds.size())];
   log_.push_back({kind, std::string(op), std::string(path)});
+  ++t_faults;
   return kind;
 }
 

@@ -7,8 +7,14 @@
 // on the seed and the per-injector operation order, so single-threaded
 // runs reproduce bit-for-bit; parallel runs are deterministic per
 // (seed, counter) but schedule-dependent in *which* operation draws which
-// counter — callers attribute faults per pair instead of assuming a fixed
-// fault set.
+// counter.
+//
+// Every injected fault is also charged to the thread that performed the
+// faulted operation. A FaultWitness reads that per-thread tally, so "did
+// this computation see a fault?" has an exact answer even while other
+// workers fault on the same site: the memos use it to keep faulted
+// results out of their tables, and the evaluation harness to attribute
+// each migration pair.
 #pragma once
 
 #include <cstdint>
@@ -72,9 +78,8 @@ class FaultInjector {
   // Deterministic per decision (drawn from the same stream).
   std::size_t short_read_length(std::size_t full_size);
 
-  // Total faults injected so far. Callers snapshot this around an
-  // operation; a delta > 0 means the operation was touched by injection
-  // and its outputs must not be memoized.
+  // Total faults this injector has injected, on every thread. To ask
+  // whether one computation was touched, use a FaultWitness instead.
   std::uint64_t fault_count() const {
     std::lock_guard<std::mutex> lock(mutex_);
     return log_.size();
@@ -95,6 +100,21 @@ class FaultInjector {
   std::uint64_t counter_ = 0;
   support::Rng rng_;
   std::vector<FaultRecord> log_;
+};
+
+// Faults injected on the calling thread so far, by any injector.
+std::uint64_t faults_on_this_thread();
+
+// Witnesses the faults injected on the constructing thread from
+// construction on. A computation that runs on one thread is touched by
+// injection exactly when the witness taken before it has fired after it.
+class FaultWitness {
+ public:
+  FaultWitness() : start_(faults_on_this_thread()) {}
+  bool fired() const { return faults_on_this_thread() != start_; }
+
+ private:
+  std::uint64_t start_;
 };
 
 }  // namespace feam::site

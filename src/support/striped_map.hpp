@@ -23,7 +23,8 @@
 // declared as std::atomic (make them `mutable` for use through `const
 // V*`) may be updated in place; that is how the resolver's search memo
 // revalidates entries without republishing them. "Updating" a key means
-// inserting a fresh node at the head of its chain, *shadowing* the older
+// publishing a fresh node that the old one's predicate check rejects (via
+// get_or_insert_if) at the head of its chain, *shadowing* the older
 // node: readers see the newest first, the shadowed node stays allocated
 // (and keeps old pointers valid). Shadowing is rare in practice — the
 // caches overwrite only when a file is rewritten in place — so retained
@@ -116,22 +117,13 @@ class StripedMap {
     Shard& shard = shard_for(key);
     std::lock_guard<std::mutex> lock(shard.mutex);
     if (const V* hit = find_if(key, pred)) return {hit, false};
-    return {publish(shard, key, make()), true};
+    return {publish(shard, key, make), true};
   }
 
   template <typename Make>
   std::pair<const V*, bool> get_or_insert(const K& key, Make&& make) {
     return get_or_insert_if(
         key, [](const V&) { return true; }, std::forward<Make>(make));
-  }
-
-  // Unconditional prepend: publishes `value` as the newest node for
-  // `key`, shadowing (not freeing) any earlier node. Use for in-place
-  // "overwrites" (a file rewritten under a cached stamp).
-  const V* insert(const K& key, V value) {
-    Shard& shard = shard_for(key);
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    return publish(shard, key, std::move(value));
   }
 
   // Total published nodes, shadowed included. Approximate under
@@ -191,14 +183,15 @@ class StripedMap {
         .load(std::memory_order_acquire);
   }
 
-  // Caller holds the shard lock. The release store is the publication
+  // Caller holds the shard lock. make()'s value is built in place in the
+  // node, so V need not be movable. The release store is the publication
   // point: everything written to the node before it happens-before any
   // reader's acquire load of the head.
-  const V* publish(Shard& shard, const K& key, V value) {
+  template <typename Make>
+  const V* publish(Shard& shard, const K& key, Make&& make) {
     const std::size_t h = hash_(key);
     std::atomic<Node*>& head = shard.buckets[bucket_index(h)];
-    Node* node = new Node{key, std::move(value),
-                          head.load(std::memory_order_relaxed)};
+    Node* node = new Node{key, make(), head.load(std::memory_order_relaxed)};
     head.store(node, std::memory_order_release);
     size_.fetch_add(1, std::memory_order_relaxed);
     return &node->value;

@@ -67,22 +67,9 @@ std::optional<RunResult> check_abi(const Site& host, const elf::ElfFile& binary,
 
   for (const auto& lib : resolution.libs) {
     if (!lib.path) continue;
-    const auto* injector = host.vfs.fault_injector();
-    const std::uint64_t before =
-        injector != nullptr ? injector->fault_count() : 0;
-    const support::Blob data = host.vfs.read_blob(*lib.path);
-    const bool faulted =
-        injector != nullptr && injector->fault_count() != before;
-    if (data == nullptr) continue;
-    std::optional<elf::ElfFile> parsed_local;
-    const elf::ElfFile* parsed = nullptr;
-    if (cache != nullptr && !faulted) {
-      parsed = cache->parsed_elf(host, data);
-    } else if (auto direct = elf::ElfFile::parse(*data); direct.ok()) {
-      parsed = &parsed_local.emplace(std::move(direct).take());
-    }
-    if (parsed == nullptr || !parsed->abi_note()) continue;
-    const elf::AbiNote& note = *parsed->abi_note();
+    const binutils::ElfImage image = binutils::read_elf(host, *lib.path, cache);
+    if (image.elf == nullptr || !image.elf->abi_note()) continue;
+    const elf::AbiNote& note = *image.elf->abi_note();
 
     if (is_mpi_library(lib.name) && !binary_note->mpi_impl.empty() &&
         !note.mpi_impl.empty()) {
@@ -211,35 +198,6 @@ const char* run_status_name(RunStatus status) {
 
 namespace {
 
-// Parsed view of a binary that already passed load_binary, through the
-// cache's blob memo when available. `local` keeps an uncached parse alive
-// in the caller's scope, which also holds `data`. Returns nullptr when the
-// bytes fail to parse after all — possible only when the re-read was
-// touched by fault injection (`faulted`, which also keeps the truncated
-// bytes out of the memo).
-const elf::ElfFile* parse_loaded(const site::Site& host,
-                                 const support::Blob& data, bool faulted,
-                                 binutils::ResolverCache* cache,
-                                 std::optional<elf::ElfFile>& local) {
-  if (cache != nullptr && !faulted) {
-    if (const elf::ElfFile* memo = cache->parsed_elf(host, data)) return memo;
-  }
-  auto parsed = elf::ElfFile::parse(*data);
-  if (!parsed.ok()) return nullptr;
-  return &local.emplace(std::move(parsed).take());
-}
-
-// vfs.read_blob plus a flag reporting whether fault injection touched it.
-support::Blob read_tracked(const site::Site& host, std::string_view path,
-                           bool& faulted) {
-  const auto* injector = host.vfs.fault_injector();
-  const std::uint64_t before =
-      injector != nullptr ? injector->fault_count() : 0;
-  support::Blob data = host.vfs.read_blob(path);
-  faulted = injector != nullptr && injector->fault_count() != before;
-  return data;
-}
-
 // Command-execution event shared by the serial and MPI launch paths.
 void emit_run_event(const char* name, const site::Site& host,
                     std::string_view binary_path, int ranks,
@@ -260,17 +218,14 @@ RunResult run_serial_impl(const site::Site& host, std::string_view binary_path,
   const LoadReport report = load_binary(host, binary_path, extra_lib_dirs, cache);
   if (report.status != LoadStatus::kOk) return from_load_report(report);
 
-  bool faulted = false;
-  const support::Blob data = read_tracked(host, binary_path, faulted);
-  std::optional<elf::ElfFile> local;
-  const elf::ElfFile* binary_view =
-      data == nullptr ? nullptr
-                      : parse_loaded(host, data, faulted, cache, local);
-  if (binary_view == nullptr) {
+  // Re-read after load_binary passed: only fault injection can make the
+  // image unreadable or unparsable now.
+  const binutils::ElfImage image = binutils::read_elf(host, binary_path, cache);
+  if (image.elf == nullptr) {
     return {RunStatus::kSystemError,
             std::string(binary_path) + ": Input/output error", ""};
   }
-  const elf::ElfFile& binary = *binary_view;
+  const elf::ElfFile& binary = *image.elf;
 
   // Executing the C library prints its banner (glibc behaviour the EDC
   // depends on).
@@ -309,23 +264,20 @@ RunResult mpiexec_impl(const site::Site& host, std::string_view binary_path,
   const LoadReport report = load_binary(host, binary_path, extra_lib_dirs, cache);
   if (report.status != LoadStatus::kOk) return from_load_report(report);
 
-  bool faulted = false;
-  const support::Blob data = read_tracked(host, binary_path, faulted);
-  std::optional<elf::ElfFile> local;
-  const elf::ElfFile* binary_view =
-      data == nullptr ? nullptr
-                      : parse_loaded(host, data, faulted, cache, local);
-  if (binary_view == nullptr) {
+  // Re-read after load_binary passed: only fault injection can make the
+  // image unreadable or unparsable now.
+  const binutils::ElfImage image = binutils::read_elf(host, binary_path, cache);
+  if (image.elf == nullptr) {
     return {RunStatus::kSystemError,
             std::string(binary_path) + ": Input/output error", ""};
   }
-  const elf::ElfFile& binary = *binary_view;
+  const elf::ElfFile& binary = *image.elf;
 
   if (auto abi_failure = check_abi(host, binary, report.resolution, cache)) {
     return *abi_failure;
   }
 
-  const std::uint64_t text_size = data->size();
+  const std::uint64_t text_size = image.bytes->size();
   if (auto fault = persistent_fault(host, binary_path, text_size)) {
     return *fault;
   }

@@ -1,7 +1,5 @@
 #include "toolchain/loader.hpp"
 
-#include <optional>
-
 #include "binutils/resolver_cache.hpp"
 #include "elf/file.hpp"
 #include "obs/metrics.hpp"
@@ -14,30 +12,17 @@ LoadReport load_binary(const site::Site& host, std::string_view path,
                        binutils::ResolverCache* cache) {
   obs::ScopedTimer timer(obs::histogram("launcher.load_ns"));
   LoadReport report;
-  const auto* injector = host.vfs.fault_injector();
-  const std::uint64_t faults_before =
-      injector != nullptr ? injector->fault_count() : 0;
-  const support::Blob data = host.vfs.read_blob(path);
-  const bool read_faulted =
-      injector != nullptr && injector->fault_count() != faults_before;
-  if (data == nullptr) {
+  const binutils::ElfImage image = binutils::read_elf(host, path, cache);
+  if (image.bytes == nullptr) {
     report.status = LoadStatus::kFileNotFound;
     report.detail = std::string(path) + ": No such file or directory";
     return report;
   }
-  std::optional<elf::ElfFile> local;
-  const elf::ElfFile* binary = nullptr;
-  // Bytes touched by fault injection are not the file's content and must
-  // not reach the parse memo.
-  if (cache != nullptr && !read_faulted) {
-    binary = cache->parsed_elf(host, data);
-  } else if (auto parsed = elf::ElfFile::parse(*data); parsed.ok()) {
-    binary = &local.emplace(std::move(parsed).take());
-  }
+  const elf::ElfFile* binary = image.elf;
   if (binary == nullptr) {
     report.status = LoadStatus::kExecFormatError;
     report.detail = std::string(path) + ": cannot execute binary file: " +
-                    elf::ElfFile::parse(*data).error();
+                    elf::ElfFile::parse(*image.bytes).error();
     return report;
   }
   if (!elf::isa_executable_on(binary->isa(), host.isa)) {

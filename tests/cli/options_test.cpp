@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 namespace feam::cli {
 namespace {
 
@@ -137,6 +139,37 @@ TEST(CliOptions, TimeseriesIntervalValidation) {
               std::string::npos)
         << bad;
     EXPECT_NE(error.find(bad), std::string::npos) << bad;
+  }
+}
+
+TEST(CliOptions, CountFlagsTakeOnlyWholePositiveIntegers) {
+  const auto ok = parse({"fleet", "--jobs", "4", "--pr", "14", "--sites",
+                         "3", "--workloads", "2"});
+  ASSERT_TRUE(ok.has_value());
+  EXPECT_EQ(ok->jobs, 4);
+  EXPECT_EQ(ok->pr_number, 14);
+  EXPECT_EQ(ok->fleet_sites, 3);
+  EXPECT_EQ(ok->fleet_workloads, 2);
+
+  // One rejection shape for every failure mode, trailing garbage included.
+  for (const char* flag : {"--jobs", "--pr", "--sites", "--workloads"}) {
+    for (const char* bad : {"2x", "0", "-1", "two", "", "99999999999"}) {
+      const std::string error = parse_error({"fleet", flag, bad});
+      EXPECT_EQ(error, std::string(flag) + " must be a positive integer (got " +
+                           bad + ")");
+    }
+  }
+}
+
+TEST(CliOptions, DriftOverrideChecksSyntaxAndLeavesTheRangeToTheSpec) {
+  const auto nan = parse({"fleet", "--drift", "nan"});
+  ASSERT_TRUE(nan.has_value());
+  ASSERT_TRUE(nan->fleet_drift.has_value());
+  EXPECT_TRUE(std::isnan(*nan->fleet_drift));
+  EXPECT_FALSE(parse({"fleet"})->fleet_drift.has_value());
+  for (const char* bad : {"1.5x", "", "fast"}) {
+    EXPECT_EQ(parse_error({"fleet", "--drift", bad}),
+              std::string("--drift must be a number (got ") + bad + ")");
   }
 }
 

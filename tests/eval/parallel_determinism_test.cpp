@@ -1,16 +1,22 @@
 // The parallel migration engine's central guarantee: the full evaluation
 // matrix produces bit-identical run records, readiness matrix, and report
 // aggregate at every job count — and with the memoization layer switched
-// off entirely — within a bounded peak RSS.
+// off entirely — within a bounded peak RSS. Matrix-level guards on a
+// workload subset cover the memo layer's contract: the source phase runs
+// once per binary, faulted runs attribute every pair exactly, and each
+// memo's labeled series sum to its own counts.
 #include <gtest/gtest.h>
 
 #include <map>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "eval/experiment.hpp"
 #include "eval/run_records.hpp"
 #include "obs/memory.hpp"
+#include "obs/metrics.hpp"
 #include "report/aggregate.hpp"
 
 // Sanitizer shadow memory and quarantines inflate RSS several-fold and are
@@ -78,6 +84,105 @@ TEST(ParallelDeterminism, FullMatrixIsIdenticalAtEveryJobCount) {
   constexpr std::uint64_t kRssCeilingBytes = 1536ull << 20;
   EXPECT_LE(obs::read_rss_peak_bytes(), kRssCeilingBytes);
 #endif
+}
+
+// A small matrix: by default two NAS and one SPEC workload across every
+// site.
+ExperimentOptions subset_options(
+    int jobs, std::vector<std::string> benchmarks = {"is.B", "cg.B",
+                                                     "104.milc"}) {
+  ExperimentOptions options;
+  options.jobs = jobs;
+  options.only_benchmarks = std::move(benchmarks);
+  return options;
+}
+
+std::string pair_key(const MigrationResult& r) {
+  return r.binary_name + "|" + r.home_site + "|" + r.target_site;
+}
+
+TEST(ParallelDeterminism, SourcePhaseRunsOncePerBinaryAtEveryJobCount) {
+  for (const int jobs : {1, 4, 8}) {
+    // One workload: 15 binaries and about three migrations each, so
+    // workers do migrate one binary concurrently.
+    Experiment experiment(subset_options(jobs, {"is.B"}));
+    experiment.build_test_set();
+    experiment.run();
+    std::set<std::pair<std::string, std::string>> migrated;
+    for (const auto& r : experiment.results()) {
+      migrated.emplace(r.home_site, r.binary_name);
+    }
+    ASSERT_FALSE(migrated.empty());
+    EXPECT_EQ(experiment.source_phase_misses(), migrated.size())
+        << "jobs=" << jobs;
+    EXPECT_EQ(experiment.source_phase_hits() + migrated.size(),
+              experiment.results().size())
+        << "jobs=" << jobs;
+  }
+}
+
+TEST(ParallelDeterminism, FaultedParallelRunAttributesEveryPairExactly) {
+  Experiment clean(subset_options(4));
+  clean.build_test_set();
+  clean.run();
+  std::map<std::string, std::string> clean_records;
+  for (const auto& r : clean.results()) {
+    clean_records[pair_key(r)] = to_run_record(r).to_json().dump();
+  }
+
+  ExperimentOptions options = subset_options(4);
+  options.vfs_fault_rate = 0.02;
+  Experiment faulted(options);
+  faulted.build_test_set();
+  faulted.run();
+  ASSERT_EQ(faulted.results().size(), clean.results().size());
+  std::size_t clean_pairs = 0, io_pairs = 0;
+  for (const auto& r : faulted.results()) {
+    const std::string& attribution = r.failure_attribution;
+    EXPECT_TRUE(attribution.empty() || attribution == "io" ||
+                attribution == "parse")
+        << pair_key(r) << ": " << attribution;
+    if (attribution == "io") ++io_pairs;
+    if (!attribution.empty()) continue;
+    ++clean_pairs;
+    // A pair the witness saw no fault in is exactly the fault-free pair:
+    // attribution is exact, so no clean pair is blamed or drifts.
+    EXPECT_EQ(to_run_record(r).to_json().dump(), clean_records[pair_key(r)])
+        << pair_key(r);
+  }
+  EXPECT_GT(io_pairs, 0u);
+  EXPECT_GT(clean_pairs, 0u);
+}
+
+TEST(ParallelDeterminism, LabeledCacheSeriesSumToEveryMemosCounts) {
+  obs::metrics().reset_values();
+  Experiment experiment(subset_options(4));
+  experiment.build_test_set();
+  experiment.run();
+  const feam::MigrationCaches& caches = *experiment.caches();
+  const feam::binutils::ResolverCache& resolver = caches.resolver;
+  using Counts = std::pair<std::uint64_t, std::uint64_t>;  // hits, misses
+  const std::map<std::string, Counts> memos = {
+      {"bdc", {caches.bdc.hits(), caches.bdc.misses()}},
+      {"edc", {caches.edc.hits(), caches.edc.misses()}},
+      {"resolver.search",
+       {resolver.search_hits(), resolver.search_misses()}},
+      {"resolver.ldd", {resolver.ldd_hits(), resolver.ldd_misses()}},
+      {"resolver.parse", {resolver.parse_hits(), resolver.parse_misses()}},
+      {"source",
+       {experiment.source_phase_hits(), experiment.source_phase_misses()}},
+  };
+  std::map<std::string, Counts> labeled;
+  for (const auto& [series, value] : obs::metrics().counter_values()) {
+    const obs::SeriesKey key = obs::parse_series(series);
+    if (key.site.empty()) continue;
+    if (key.name == "cache.hits") labeled[key.cache].first += value;
+    if (key.name == "cache.misses") labeled[key.cache].second += value;
+  }
+  for (const auto& [cache, counts] : memos) {
+    EXPECT_GT(counts.first + counts.second, 0u) << cache;
+    EXPECT_EQ(labeled[cache], counts) << cache;
+  }
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 // the fuzz harness leans on.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <string>
 
 #include "fleet/spec.hpp"
@@ -91,6 +92,37 @@ TEST(FleetSpec, RejectsWrongTypesAndRanges) {
   expect_spec_parse_rejection(R"({"name": ""})");
   expect_spec_parse_rejection(R"({"name": "Has Spaces"})");
   expect_spec_parse_rejection(R"({"schema": "feam.fleet_spec/2"})");
+}
+
+// `feam fleet`'s --sites/--workloads/--drift overrides land in a spec the
+// parser never saw; the shared validator holds them to the same bounds,
+// with the parser's own messages.
+TEST(FleetSpec, ValidatorHoldsOverridesToTheParsersBounds) {
+  const auto rejects = [](FleetSpec spec, const std::string& same_as) {
+    const auto checked = validate_fleet_spec(spec);
+    ASSERT_FALSE(checked.ok());
+    EXPECT_EQ(checked.code(), support::ErrorCode::kSpecParse);
+    const auto parsed = parse_fleet_spec(same_as);
+    ASSERT_FALSE(parsed.ok()) << same_as;
+    EXPECT_EQ(checked.error(), parsed.error()) << same_as;
+  };
+  FleetSpec spec;
+  ASSERT_TRUE(validate_fleet_spec(spec).ok());
+
+  spec.drift_rate = std::numeric_limits<double>::infinity();
+  rejects(spec, R"({"drift_rate": 17})");
+  spec.drift_rate = std::numeric_limits<double>::quiet_NaN();
+  rejects(spec, R"({"drift_rate": 17})");
+  spec.drift_rate = 17;
+  rejects(spec, R"({"drift_rate": 17})");
+  spec.drift_rate = 16;
+  EXPECT_TRUE(validate_fleet_spec(spec).ok());
+
+  spec.sites = 100001;
+  rejects(spec, R"({"sites": 100001})");
+  spec.sites = 100000;
+  spec.workloads = 100001;
+  rejects(spec, R"({"workloads": 100001})");
 }
 
 }  // namespace

@@ -105,25 +105,17 @@ TEST(RegistryGauges, ResetValuesKeepsNames) {
   EXPECT_EQ(it->second.peak, 0u);
 }
 
-TEST(SeriesHandleTest, AddsToTheResolvedSeries) {
-  SeriesHandle handle("memtest.hits", {.site = "sierra", .cache = "bdc"});
-  const std::uint64_t before = handle.value();
-  handle.add();
-  handle.add(4);
-  EXPECT_EQ(handle.value(), before + 5);
-  EXPECT_EQ(metrics().counter_values().at(
-                "memtest.hits{cache=bdc,site=sierra}"),
-            before + 5);
-}
-
 TEST(SiteSeriesCacheTest, OneHandlePerSite) {
   SiteSeriesCache cache("memtest.lookups", "resolver.search");
-  const SeriesHandle& india = cache.at("india");
-  const SeriesHandle& fir = cache.at("fir");
+  Counter& india = cache.at("india");
+  Counter& fir = cache.at("fir");
   india.add(2);
   fir.add(3);
-  // Same site resolves to the same handle (and so the same counter).
+  // Same site resolves to the same registry counter.
   EXPECT_EQ(&cache.at("india"), &india);
+  EXPECT_EQ(&india,
+            &metrics().counter("memtest.lookups",
+                               {.site = "india", .cache = "resolver.search"}));
   const auto counters = metrics().counter_values();
   EXPECT_GE(counters.at("memtest.lookups{cache=resolver.search,site=india}"),
             2u);

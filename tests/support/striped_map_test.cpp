@@ -55,7 +55,9 @@ TEST(StripedMap, CollidingKeysChainCorrectly) {
   }
   // Same key, distinct identities (the caches' fingerprint-collision
   // case): the predicate picks the right entry.
-  map.insert(5, "other-identity");
+  map.get_or_insert_if(
+      5, [](const std::string& v) { return v == "other-identity"; },
+      [] { return std::string("other-identity"); });
   const std::string* exact =
       map.find_if(5, [](const std::string& v) { return v == "v5"; });
   ASSERT_NE(exact, nullptr);
@@ -66,7 +68,13 @@ TEST(StripedMap, InsertShadowsButOldPointerStaysValid) {
   StripedMap<std::uint64_t, std::string> map;
   const std::string* first =
       map.get_or_insert(3, [] { return std::string("old"); }).first;
-  const std::string* second = map.insert(3, "new");
+  // A value the old node does not answer for is published in front of
+  // it (how a memo replaces a stale entry).
+  const std::string* second =
+      map.get_or_insert_if(
+             3, [](const std::string& v) { return v == "new"; },
+             [] { return std::string("new"); })
+          .first;
   EXPECT_EQ(*map.find(3), "new");
   EXPECT_EQ(map.find(3), second);
   // The shadowed node is retained, not freed: the old pointer still
@@ -92,7 +100,10 @@ TEST(StripedMap, ForEachVisitsEveryNode) {
   for (std::uint64_t k = 0; k < 50; ++k) {
     map.get_or_insert(k, [k] { return k; });
   }
-  map.insert(0, 999);  // shadowed nodes are visited too
+  // Shadowed nodes are visited too.
+  map.get_or_insert_if(
+      0, [](std::uint64_t v) { return v == 999; },
+      [] { return std::uint64_t{999}; });
   std::uint64_t nodes = 0;
   map.for_each([&](const std::uint64_t&, const std::uint64_t&) { ++nodes; });
   EXPECT_EQ(nodes, 51u);
