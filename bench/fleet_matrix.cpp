@@ -253,16 +253,15 @@ int main(int argc, char** argv) {
   const report::DiffResult prov_diff = report::diff_records(
       prov_frozen_records, prov_drift_records, drift_entries);
   std::size_t prov_covered = 0;
-  double prov_with_bytes = 0.0;
-  double prov_without_bytes = 0.0;
   for (const auto& record : prov_drift_records) {
     if (!record.provenance.empty()) ++prov_covered;
-    prov_with_bytes += static_cast<double>(record.to_json().dump().size());
-    report::RunRecord stripped = record;
-    stripped.provenance.clear();
-    prov_without_bytes +=
-        static_cast<double>(stripped.to_json().dump().size());
   }
+  const double prov_with_bytes =
+      static_cast<double>(report::records_jsonl(prov_drift_records).size());
+  std::vector<report::RunRecord> stripped = prov_drift_records;
+  for (auto& record : stripped) record.provenance.clear();
+  const double prov_without_bytes =
+      static_cast<double>(report::records_jsonl(stripped).size());
   const double prov_overhead =
       prov_without_bytes > 0.0
           ? (prov_with_bytes - prov_without_bytes) / prov_without_bytes

@@ -107,12 +107,13 @@ namespace {
 // Stable serialization of every migration outcome; equal strings mean the
 // two runs agreed on every record, field for field.
 std::string records_dump(const std::vector<MigrationResult>& results) {
-  std::string out;
-  for (const auto& record : to_run_records(results)) {
-    out += record.to_json().dump();
-    out += '\n';
-  }
-  return out;
+  return report::records_jsonl(to_run_records(results));
+}
+
+// One migration's record line, for per-pair comparisons.
+std::string record_line(const MigrationResult& result) {
+  const report::RunRecord record = to_run_record(result);
+  return report::records_jsonl({&record, 1});
 }
 
 double elapsed_ms(std::chrono::steady_clock::time_point start,
@@ -258,8 +259,7 @@ int main(int argc, char** argv) {
       migrations = sequential.results().size();
       sequential_dump = records_dump(sequential.results());
       for (const auto& result : sequential.results()) {
-        baseline_by_pair[pair_key(result)] =
-            to_run_record(result).to_json().dump();
+        baseline_by_pair[pair_key(result)] = record_line(result);
       }
     }
   };
@@ -355,7 +355,7 @@ int main(int argc, char** argv) {
         ++clean_pairs;
         const auto it = baseline_by_pair.find(pair_key(result));
         if (it == baseline_by_pair.end() ||
-            it->second != to_run_record(result).to_json().dump()) {
+            it->second != record_line(result)) {
           ++clean_mismatches;
         }
       }

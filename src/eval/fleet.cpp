@@ -32,30 +32,27 @@ report::RunRecord pair_record(const std::string& source_site,
   return record;
 }
 
-void fill_from_entry(report::RunRecord& record, const SurveyEntry& entry) {
+// Consumes the entry: its verdict details and evidence move into the record.
+void fill_from_entry(report::RunRecord& record, SurveyEntry&& entry) {
   record.has_prediction = entry.blocking_determinant != "error";
   record.exit_code = record.has_prediction ? 0 : 1;
   record.ready = entry.ready;
-  const Prediction& p = entry.prediction;
-  for (const auto& det : p.determinants) {
+  Prediction& p = entry.prediction;
+  for (auto& det : p.determinants) {
     record.determinants.push_back({report::determinant_key(det.kind),
-                                   det.evaluated, det.compatible, det.detail});
+                                   det.evaluated, det.compatible,
+                                   std::move(det.detail)});
   }
   record.missing_libraries = p.missing_libraries.size();
   record.resolved_libraries = p.resolved_libraries.size();
   record.unresolved_libraries = p.unresolved_libraries.size();
-  record.provenance = p.provenance;
+  record.provenance = std::move(p.provenance);
 }
 
 }  // namespace
 
 std::string FleetRunResult::records_jsonl() const {
-  std::string out;
-  for (const auto& record : records) {
-    out += record.to_json().dump();
-    out += '\n';
-  }
-  return out;
+  return report::records_jsonl(records);
 }
 
 std::string FleetRunResult::readiness_matrix() const {
@@ -116,20 +113,20 @@ FleetRunResult run_fleet(fleet::Fleet& fleet, const FleetRunOptions& options) {
     SurveyOptions survey_options;
     survey_options.jobs = options.jobs;
     survey_options.caches = cache_ptr;
-    const SurveyReport survey =
+    SurveyReport survey =
         survey_sites(sites, workload.program.name, binary,
                      source ? &*source : nullptr, config, survey_options);
     anchor.vfs.remove(path);
 
     // The survey ranks entries for human output; records go back to fleet
     // input order so the matrix is position-stable.
-    std::map<std::string_view, const SurveyEntry*> by_site;
-    for (const auto& entry : survey.entries) by_site[entry.site_name] = &entry;
+    std::map<std::string_view, SurveyEntry*> by_site;
+    for (auto& entry : survey.entries) by_site[entry.site_name] = &entry;
     for (const site::Site* s : sites) {
       report::RunRecord record =
           pair_record(anchor.name, workload.program.name, s->name);
       if (const auto it = by_site.find(s->name); it != by_site.end()) {
-        fill_from_entry(record, *it->second);
+        fill_from_entry(record, std::move(*it->second));
       } else {
         record.exit_code = 1;
       }

@@ -52,7 +52,7 @@ SurveyEntry assess_site(site::Site& s, const std::string& path,
   obs::counter("survey.sites_assessed").add();
   const std::vector<std::string> modules_before = s.loaded_modules();
   s.vfs.write_file(path, binary);
-  const auto result =
+  auto result =
       run_target_phase(s, path, source, config, TecOptions{}, caches);
   SurveyEntry entry;
   entry.site_name = s.name;
@@ -60,7 +60,7 @@ SurveyEntry assess_site(site::Site& s, const std::string& path,
     entry.blocking_determinant = "error";
     entry.reason = result.error();
   } else {
-    entry.prediction = result.value().prediction;
+    entry.prediction = std::move(result).take().prediction;
     entry.ready = entry.prediction.ready;
     entry.resolved_copies = entry.prediction.resolved_libraries.size();
     if (entry.ready) {

@@ -117,15 +117,16 @@ std::vector<DriftOp> apply_drift_round(Fleet& fleet, int round) {
 
 std::string drift_log_jsonl(const std::vector<DriftOp>& ops) {
   std::string out;
+  support::JsonWriter w(out);
   for (const DriftOp& op : ops) {
-    support::Json line;
-    line.set("schema", std::string(kDriftLogSchema));
-    line.set("round", op.round);
-    line.set("site_index", op.site_index);
-    line.set("site", op.site);
-    line.set("kind", op.kind);
-    line.set("detail", op.detail);
-    out += line.dump();
+    w.begin_object()
+        .key("detail").string(op.detail)
+        .key("kind").string(op.kind)
+        .key("round").number(op.round)
+        .key("schema").string(kDriftLogSchema)
+        .key("site").string(op.site)
+        .key("site_index").number(op.site_index)
+        .end_object();
     out += '\n';
   }
   return out;

@@ -165,20 +165,20 @@ std::optional<HistogramSnapshot> HistogramSnapshot::from_json(
     const support::Json& j) {
   if (!j.is_object()) return std::nullopt;
   HistogramSnapshot s;
-  if (!j["count"].is_number()) return std::nullopt;
-  s.count = static_cast<std::uint64_t>(j["count"].as_number());
-  s.sum = static_cast<std::uint64_t>(j["sum"].as_number());
-  s.max = static_cast<std::uint64_t>(j["max"].as_number());
-  const std::uint64_t stored_min =
-      static_cast<std::uint64_t>(j["min"].as_number());
-  s.min_raw = s.count == 0 ? UINT64_MAX : stored_min;
+  const auto count = j["count"].to_uint();
+  if (!count) return std::nullopt;
+  s.count = *count;
+  s.sum = j.get_uint("sum");
+  s.max = j.get_uint("max");
+  s.min_raw = s.count == 0 ? UINT64_MAX : j.get_uint("min");
   if (j["buckets"].is_array()) {
     const auto& counts = j["buckets"].as_array();
     if (counts.size() > static_cast<std::size_t>(kBuckets)) return std::nullopt;
     std::uint64_t total = 0;
     for (std::size_t i = 0; i < counts.size(); ++i) {
-      if (!counts[i].is_number()) return std::nullopt;
-      s.buckets[i] = static_cast<std::uint64_t>(counts[i].as_number());
+      const auto bucket = counts[i].to_uint();
+      if (!bucket) return std::nullopt;
+      s.buckets[i] = *bucket;
       total += s.buckets[i];
     }
     if (total != s.count) return std::nullopt;

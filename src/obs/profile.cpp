@@ -99,10 +99,6 @@ void fold_stacks(const FlameNode& node, FlameWeight weight,
   prefix.resize(prefix_len);
 }
 
-std::uint64_t parse_u64(const support::Json& j, std::string_view key) {
-  const auto& v = j[key];
-  return v.is_number() ? static_cast<std::uint64_t>(v.as_number()) : 0;
-}
 
 void xml_escape(std::string& out, std::string_view text) {
   for (const char c : text) {
@@ -537,35 +533,36 @@ support::Json Profile::to_json() const {
 
 std::optional<Profile> Profile::from_json(const support::Json& j) {
   if (!j.is_object()) return std::nullopt;
-  if (!j["wall_ns"].is_number() || !j["span_count"].is_number() ||
-      !j["by_name"].is_array() || !j["threads"].is_array() ||
-      !j["critical_path"].is_array()) {
+  const auto wall_ns = j["wall_ns"].to_uint();
+  const auto span_count = j["span_count"].to_uint();
+  if (!wall_ns || !span_count || !j["by_name"].is_array() ||
+      !j["threads"].is_array() || !j["critical_path"].is_array()) {
     return std::nullopt;
   }
   Profile profile;
   profile.flame.name = "all";
-  profile.wall_ns = parse_u64(j, "wall_ns");
-  profile.span_count = parse_u64(j, "span_count");
+  profile.wall_ns = *wall_ns;
+  profile.span_count = *span_count;
   for (const auto& entry : j["by_name"].as_array()) {
     if (!entry.is_object() || !entry["name"].is_string()) return std::nullopt;
     ProfileNameStat stat;
     stat.name = entry["name"].as_string();
-    stat.count = parse_u64(entry, "count");
-    stat.total_ns = parse_u64(entry, "total_ns");
-    stat.self_ns = parse_u64(entry, "self_ns");
-    stat.min_ns = parse_u64(entry, "min_ns");
-    stat.max_ns = parse_u64(entry, "max_ns");
-    stat.alloc_bytes = parse_u64(entry, "alloc_bytes");
+    stat.count = entry.get_uint("count");
+    stat.total_ns = entry.get_uint("total_ns");
+    stat.self_ns = entry.get_uint("self_ns");
+    stat.min_ns = entry.get_uint("min_ns");
+    stat.max_ns = entry.get_uint("max_ns");
+    stat.alloc_bytes = entry.get_uint("alloc_bytes");
     profile.by_name.push_back(std::move(stat));
   }
   for (const auto& entry : j["threads"].as_array()) {
     if (!entry.is_object()) return std::nullopt;
     ProfileThread thread;
     thread.tid = static_cast<int>(entry.get_int("tid"));
-    thread.spans = parse_u64(entry, "spans");
-    thread.busy_ns = parse_u64(entry, "busy_ns");
-    thread.self_ns = parse_u64(entry, "self_ns");
-    thread.extent_ns = parse_u64(entry, "extent_ns");
+    thread.spans = entry.get_uint("spans");
+    thread.busy_ns = entry.get_uint("busy_ns");
+    thread.self_ns = entry.get_uint("self_ns");
+    thread.extent_ns = entry.get_uint("extent_ns");
     profile.threads.push_back(thread);
   }
   for (const auto& entry : j["critical_path"].as_array()) {
@@ -573,9 +570,9 @@ std::optional<Profile> Profile::from_json(const support::Json& j) {
     CriticalPathStep step;
     step.name = entry["name"].as_string();
     step.tid = static_cast<int>(entry.get_int("tid"));
-    step.start_ns = parse_u64(entry, "start_ns");
-    step.duration_ns = parse_u64(entry, "duration_ns");
-    step.self_ns = parse_u64(entry, "self_ns");
+    step.start_ns = entry.get_uint("start_ns");
+    step.duration_ns = entry.get_uint("duration_ns");
+    step.self_ns = entry.get_uint("self_ns");
     profile.critical_path.push_back(std::move(step));
   }
   return profile;

@@ -1,7 +1,6 @@
 #include "obs/provenance.hpp"
 
-#include <algorithm>
-#include <cstdio>
+#include <iterator>
 
 namespace feam::obs {
 
@@ -33,13 +32,21 @@ bool parse_stamp_hex(std::string_view hex, std::uint64_t& out) {
   return true;
 }
 
+// Fixed-width lowercase hex of a stamp.
+void format_stamp(std::uint64_t stamp, char (&hex)[16]) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  for (int i = 15; i >= 0; --i) {
+    hex[i] = kDigits[stamp & 0xf];
+    stamp >>= 4;
+  }
+}
+
 }  // namespace
 
 std::string Evidence::stamp_hex() const {
-  char buf[24];
-  std::snprintf(buf, sizeof buf, "%016llx",
-                static_cast<unsigned long long>(stamp));
-  return buf;
+  char hex[16];
+  format_stamp(stamp, hex);
+  return std::string(hex, sizeof hex);
 }
 
 void EvidenceSet::add(Evidence e) {
@@ -67,14 +74,13 @@ std::uint64_t EvidenceSet::dropped() const {
   return over_cap + overflow_;
 }
 
-std::vector<Evidence> EvidenceSet::items() const {
-  std::vector<Evidence> out;
-  out.reserve(std::min(items_.size(), kMaxItems));
-  for (const auto& e : items_) {
-    if (out.size() >= kMaxItems) break;
-    out.push_back(e);
+EvidenceSet::ItemView EvidenceSet::items() const {
+  if (items_.size() <= kMaxItems) {
+    return {items_.begin(), items_.end(), items_.size()};
   }
-  return out;
+  return {items_.begin(),
+          std::next(items_.begin(), static_cast<std::ptrdiff_t>(kMaxItems)),
+          kMaxItems};
 }
 
 support::Json EvidenceSet::to_json() const {
@@ -94,6 +100,28 @@ support::Json EvidenceSet::to_json() const {
   }
   out.set("evidence", support::Json(std::move(evidence)));
   return out;
+}
+
+void EvidenceSet::write_json(support::JsonWriter& w) const {
+  // Keys in std::map order, as to_json() holds them.
+  w.begin_object();
+  w.key("dropped").number(dropped());
+  w.key("evidence").begin_array();
+  for (const Evidence& e : items()) {
+    char stamp[16];
+    format_stamp(e.stamp, stamp);
+    w.begin_object()
+        .key("detail").string(e.detail)
+        .key("kind").string(e.kind)
+        .key("site").string(e.site)
+        .key("stage").string(e.stage)
+        .key("stamp").string({stamp, sizeof stamp})
+        .key("subject").string(e.subject)
+        .end_object();
+  }
+  w.end_array();
+  w.key("schema").string(kProvenanceSchema);
+  w.end_object();
 }
 
 std::optional<EvidenceSet> EvidenceSet::from_json(const support::Json& j) {

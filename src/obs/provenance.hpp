@@ -28,6 +28,7 @@
 #pragma once
 
 #include <cstdint>
+#include <ranges>
 #include <set>
 #include <string>
 #include <string_view>
@@ -99,10 +100,16 @@ class EvidenceSet {
   // Items beyond the serialization bound (plus any past the hard cap).
   std::uint64_t dropped() const;
 
-  // Sorted, capped view — exactly what serializes.
-  std::vector<Evidence> items() const;
+  // Sorted, capped view — exactly what serializes — over the set's own
+  // items; valid until the set next changes.
+  using ItemView = std::ranges::subrange<std::set<Evidence>::const_iterator,
+                                         std::set<Evidence>::const_iterator,
+                                         std::ranges::subrange_kind::sized>;
+  ItemView items() const;
 
+  // The tree form; write_json streams the same bytes as to_json().dump().
   support::Json to_json() const;
+  void write_json(support::JsonWriter& w) const;
   static std::optional<EvidenceSet> from_json(const support::Json& j);
 
   // Internal-consistency issues of a deserialized set (empty when OK).

@@ -283,8 +283,9 @@ DiffResult diff_records(const std::vector<RunRecord>& a,
     flip.blocking_a = blocking_a;
     flip.blocking_b = blocking_b;
 
-    const std::vector<obs::Evidence> items_a = record.provenance.items();
-    const std::vector<obs::Evidence> items_b = other.provenance.items();
+    // Both views are in set order, as set_difference needs.
+    const auto items_a = record.provenance.items();
+    const auto items_b = other.provenance.items();
     std::set_difference(items_b.begin(), items_b.end(), items_a.begin(),
                         items_a.end(),
                         std::back_inserter(flip.evidence_gained));
@@ -322,7 +323,8 @@ std::string render_explain(const RunRecord& record) {
     out += "\n";
   }
 
-  std::vector<obs::Evidence> items = record.provenance.items();
+  const auto view = record.provenance.items();
+  std::vector<obs::Evidence> items(view.begin(), view.end());
   if (items.empty()) {
     out += "\nno provenance recorded (record predates feam.provenance/1)\n";
     return out;

@@ -100,6 +100,64 @@ support::Json RunRecord::to_json() const {
   return out;
 }
 
+void RunRecord::write_json(support::JsonWriter& w) const {
+  // Keys in std::map order, as to_json() holds them.
+  w.begin_object();
+  w.key("binary").string(binary);
+  w.key("bundle_bytes").number(bundle_bytes);
+  w.key("command").string(command);
+  w.key("counters").begin_object();
+  for (const auto& [name, value] : counters) w.key(name).number(value);
+  w.end_object();
+  w.key("determinants").begin_array();
+  for (const auto& d : determinants) {
+    w.begin_object()
+        .key("compatible").boolean(d.compatible)
+        .key("detail").string(d.detail)
+        .key("evaluated").boolean(d.evaluated)
+        .key("key").string(d.key)
+        .end_object();
+  }
+  w.end_array();
+  w.key("exit_code").number(exit_code);
+  w.key("has_prediction").boolean(has_prediction);
+  w.key("histograms").begin_object();
+  for (const auto& [name, snapshot] : histograms) {
+    w.key(name).value(snapshot.to_json());
+  }
+  w.end_object();
+  w.key("missing_libraries").number(missing_libraries);
+  w.key("mode").string(mode);
+  if (profile) w.key("profile").value(profile->to_json());
+  if (!provenance.empty()) {
+    w.key("provenance");
+    provenance.write_json(w);
+  }
+  w.key("ready").boolean(ready);
+  w.key("resolved_libraries").number(resolved_libraries);
+  w.key("schema").string(schema);
+  w.key("source_site").string(source_site);
+  w.key("spans").begin_array();
+  for (const auto& span : spans) {
+    w.begin_object();
+    if (span.alloc_count != 0) {
+      w.key("alloc_bytes").number(span.alloc_bytes);
+      w.key("alloc_count").number(span.alloc_count);
+    }
+    w.key("dur_ns").number(span.duration_ns)
+        .key("id").number(span.id)
+        .key("name").string(span.name)
+        .key("parent_id").number(span.parent_id)
+        .key("start_ns").number(span.start_ns)
+        .key("tid").number(span.tid)
+        .end_object();
+  }
+  w.end_array();
+  w.key("target_site").string(target_site);
+  w.key("unresolved_libraries").number(unresolved_libraries);
+  w.end_object();
+}
+
 std::optional<RunRecord> RunRecord::from_json(const support::Json& j) {
   if (!j.is_object()) return std::nullopt;
   if (j.get_string("schema") != kRunRecordSchema) return std::nullopt;
@@ -124,25 +182,22 @@ std::optional<RunRecord> RunRecord::from_json(const support::Json& j) {
       r.determinants.push_back(std::move(v));
     }
   }
-  r.missing_libraries =
-      static_cast<std::uint64_t>(j.get_int("missing_libraries"));
-  r.resolved_libraries =
-      static_cast<std::uint64_t>(j.get_int("resolved_libraries"));
-  r.unresolved_libraries =
-      static_cast<std::uint64_t>(j.get_int("unresolved_libraries"));
-  r.bundle_bytes = static_cast<std::uint64_t>(j.get_int("bundle_bytes"));
+  r.missing_libraries = j.get_uint("missing_libraries");
+  r.resolved_libraries = j.get_uint("resolved_libraries");
+  r.unresolved_libraries = j.get_uint("unresolved_libraries");
+  r.bundle_bytes = j.get_uint("bundle_bytes");
 
   if (j["spans"].is_array()) {
     for (const auto& s : j["spans"].as_array()) {
       SpanSummary span;
-      span.id = static_cast<std::uint64_t>(s.get_int("id"));
-      span.parent_id = static_cast<std::uint64_t>(s.get_int("parent_id"));
+      span.id = s.get_uint("id");
+      span.parent_id = s.get_uint("parent_id");
       span.name = s.get_string("name");
-      span.start_ns = static_cast<std::uint64_t>(s.get_int("start_ns"));
-      span.duration_ns = static_cast<std::uint64_t>(s.get_int("dur_ns"));
+      span.start_ns = s.get_uint("start_ns");
+      span.duration_ns = s.get_uint("dur_ns");
       span.tid = static_cast<int>(s.get_int("tid"));
-      span.alloc_bytes = static_cast<std::uint64_t>(s.get_int("alloc_bytes"));
-      span.alloc_count = static_cast<std::uint64_t>(s.get_int("alloc_count"));
+      span.alloc_bytes = s.get_uint("alloc_bytes");
+      span.alloc_count = s.get_uint("alloc_count");
       if (span.name.empty()) return std::nullopt;
       r.spans.push_back(std::move(span));
     }
@@ -159,8 +214,9 @@ std::optional<RunRecord> RunRecord::from_json(const support::Json& j) {
   }
   if (j["counters"].is_object()) {
     for (const auto& [name, value] : j["counters"].as_object()) {
-      if (!value.is_number()) return std::nullopt;
-      r.counters[name] = static_cast<std::uint64_t>(value.as_number());
+      const auto count = value.to_uint();
+      if (!count) return std::nullopt;
+      r.counters[name] = *count;
     }
   }
   if (j["histograms"].is_object()) {
@@ -273,6 +329,16 @@ RunRecord assemble_run_record(const RunContext& context,
   r.counters = registry.counter_values();
   r.histograms = registry.histogram_snapshots();
   return r;
+}
+
+std::string records_jsonl(std::span<const RunRecord> records) {
+  std::string out;
+  support::JsonWriter w(out);
+  for (const auto& record : records) {
+    record.write_json(w);
+    out += '\n';
+  }
+  return out;
 }
 
 std::vector<obs::ProfileSpan> to_profile_spans(const RunRecord& record) {

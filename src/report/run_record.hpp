@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -88,7 +89,12 @@ struct RunRecord {
   // Total duration of the named span (first occurrence), 0 when absent.
   std::uint64_t span_duration_ns(std::string_view name) const;
 
+  // The tree form (pretty-printing, tests' reference). write_json streams
+  // the same bytes as to_json().dump() straight from the fields; the
+  // profile and histograms, which only CLI records carry, go through their
+  // trees.
   support::Json to_json() const;
+  void write_json(support::JsonWriter& w) const;
   static std::optional<RunRecord> from_json(const support::Json& j);
 
   // Internal-consistency issues (empty when the record is well-formed):
@@ -113,6 +119,10 @@ struct RunContext {
 RunRecord assemble_run_record(const RunContext& context,
                               const std::vector<obs::SpanRecord>& spans,
                               const obs::Registry& registry, int exit_code);
+
+// Compact JSONL, one record per line: the stream `feam report` ingests and
+// the byte-identity witness of determinism checks.
+std::string records_jsonl(std::span<const RunRecord> records);
 
 // The record's span tree as profiling input (for rebuilding the profile
 // or its flame tree from a deserialized record).

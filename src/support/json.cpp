@@ -4,6 +4,7 @@
 #include <charconv>
 #include <cmath>
 #include <cstdio>
+#include <type_traits>
 
 namespace feam::support {
 
@@ -49,9 +50,28 @@ std::size_t utf8_sequence_length(std::string_view s, std::size_t i) {
   return len;
 }
 
+void append_u_escape(std::string& out, unsigned code) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  const char escape[6] = {'\\', 'u', kHex[(code >> 12) & 0xf],
+                          kHex[(code >> 8) & 0xf], kHex[(code >> 4) & 0xf],
+                          kHex[code & 0xf]};
+  out.append(escape, sizeof escape);
+}
+
+// Printable ASCII that needs no escape.
+bool is_plain(char c) {
+  const auto byte = static_cast<unsigned char>(c);
+  return byte >= 0x20 && byte < 0x80 && c != '"' && c != '\\';
+}
+
 void append_escaped(std::string& out, std::string_view s) {
   out += '"';
-  for (std::size_t i = 0; i < s.size();) {
+  std::size_t i = 0;
+  while (i < s.size()) {
+    const std::size_t run_start = i;
+    while (i < s.size() && is_plain(s[i])) ++i;
+    out.append(s.data() + run_start, i - run_start);
+    if (i == s.size()) break;
     const char c = s[i];
     switch (c) {
       case '"': out += "\\\""; ++i; continue;
@@ -63,12 +83,7 @@ void append_escaped(std::string& out, std::string_view s) {
     }
     const unsigned char byte = static_cast<unsigned char>(c);
     if (byte < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof buf, "\\u%04x", byte);
-      out += buf;
-      ++i;
-    } else if (byte < 0x80) {
-      out += c;
+      append_u_escape(out, byte);
       ++i;
     } else if (const std::size_t len = utf8_sequence_length(s, i); len > 0) {
       if (len == 4) {
@@ -83,25 +98,37 @@ void append_escaped(std::string& out, std::string_view s) {
             ((static_cast<unsigned>(byte) & 0x07u) << 18) |
             (cont(1) << 12) | (cont(2) << 6) | cont(3);
         const unsigned v = code - 0x10000;
-        char buf[16];
-        std::snprintf(buf, sizeof buf, "\\u%04x\\u%04x",
-                      0xd800 + (v >> 10), 0xdc00 + (v & 0x3ff));
-        out += buf;
+        append_u_escape(out, 0xd800 + (v >> 10));
+        append_u_escape(out, 0xdc00 + (v & 0x3ff));
       } else {
-        out += s.substr(i, len);
+        out.append(s.data() + i, len);
       }
       i += len;
     } else {
       // Invalid byte: escape as its Latin-1 codepoint so the document
       // stays valid JSON and the byte value survives in the escape.
-      char buf[8];
-      std::snprintf(buf, sizeof buf, "\\u%04x", byte);
-      out += buf;
+      append_u_escape(out, byte);
       ++i;
     }
   }
   out += '"';
 }
+
+// The truncated value of `x` as T, or nullopt when T cannot represent it.
+// Both bounds are powers of two, so the comparisons are exact; NaN fails
+// both.
+template <typename T>
+std::optional<T> checked_integer(double x) {
+  constexpr double kLow = std::is_signed_v<T> ? -0x1p63 : 0.0;
+  constexpr double kHigh = std::is_signed_v<T> ? 0x1p63 : 0x1p64;
+  if (!(x >= kLow && x < kHigh)) return std::nullopt;
+  return static_cast<T>(x);
+}
+
+// Integral numbers below this magnitude (1e15) write as digits; larger
+// ones as %.17g. Integers written directly take the double route past it,
+// as the tree, which holds them as doubles, writes them.
+constexpr std::int64_t kExactIntegerBound = 1'000'000'000'000'000;
 
 // Recursive-descent parser over a string_view cursor.
 class Parser {
@@ -311,9 +338,23 @@ std::string Json::get_string(std::string_view key, std::string_view fallback) co
   return v.is_string() ? v.as_string() : std::string(fallback);
 }
 
+std::optional<std::int64_t> Json::to_int() const {
+  if (type_ != Type::kNumber) return std::nullopt;
+  return checked_integer<std::int64_t>(number_);
+}
+
+std::optional<std::uint64_t> Json::to_uint() const {
+  if (type_ != Type::kNumber) return std::nullopt;
+  return checked_integer<std::uint64_t>(number_);
+}
+
 std::int64_t Json::get_int(std::string_view key, std::int64_t fallback) const {
-  const Json& v = (*this)[key];
-  return v.is_number() ? v.as_int() : fallback;
+  return (*this)[key].to_int().value_or(fallback);
+}
+
+std::uint64_t Json::get_uint(std::string_view key,
+                             std::uint64_t fallback) const {
+  return (*this)[key].to_uint().value_or(fallback);
 }
 
 bool Json::get_bool(std::string_view key, bool fallback) const {
@@ -321,66 +362,125 @@ bool Json::get_bool(std::string_view key, bool fallback) const {
   return v.is_bool() ? v.as_bool() : fallback;
 }
 
-void Json::dump_to(std::string& out, int indent, int depth) const {
-  const std::string pad(static_cast<std::size_t>(indent) * static_cast<std::size_t>(depth + 1), ' ');
-  const std::string close_pad(static_cast<std::size_t>(indent) * static_cast<std::size_t>(depth), ' ');
-  const char* nl = indent > 0 ? "\n" : "";
-  switch (type_) {
-    case Type::kNull: out += "null"; break;
-    case Type::kBool: out += bool_ ? "true" : "false"; break;
-    case Type::kNumber: {
-      if (number_ == std::floor(number_) && std::abs(number_) < 1e15) {
-        out += std::to_string(static_cast<std::int64_t>(number_));
-      } else {
-        char buf[32];
-        std::snprintf(buf, sizeof buf, "%.17g", number_);
-        out += buf;
-      }
-      break;
-    }
-    case Type::kString: append_escaped(out, string_); break;
-    case Type::kArray: {
-      if (array_.empty()) { out += "[]"; break; }
-      out += '[';
-      out += nl;
-      for (std::size_t i = 0; i < array_.size(); ++i) {
-        if (indent > 0) out += pad;
-        array_[i].dump_to(out, indent, depth + 1);
-        if (i + 1 < array_.size()) out += ',';
-        out += nl;
-      }
-      if (indent > 0) out += close_pad;
-      out += ']';
-      break;
-    }
-    case Type::kObject: {
-      if (object_.empty()) { out += "{}"; break; }
-      out += '{';
-      out += nl;
-      std::size_t i = 0;
-      for (const auto& [key, value] : object_) {
-        if (indent > 0) out += pad;
-        append_escaped(out, key);
-        out += indent > 0 ? ": " : ":";
-        value.dump_to(out, indent, depth + 1);
-        if (++i < object_.size()) out += ',';
-        out += nl;
-      }
-      if (indent > 0) out += close_pad;
-      out += '}';
-      break;
-    }
-  }
-}
-
 std::string Json::dump(int indent) const {
   std::string out;
-  dump_to(out, indent, 0);
+  JsonWriter(out, indent).value(*this);
   return out;
 }
 
 std::optional<Json> Json::parse(std::string_view text) {
   return Parser(text).run();
+}
+
+void JsonWriter::newline() {
+  if (indent_ > 0) {
+    out_ += '\n';
+    out_.append(static_cast<std::size_t>(indent_) *
+                    static_cast<std::size_t>(depth_),
+                ' ');
+  }
+}
+
+void JsonWriter::separate() {
+  if (after_key_) {
+    after_key_ = false;
+    return;
+  }
+  if (depth_ == 0) return;
+  if (!empty_) out_ += ',';
+  empty_ = false;
+  newline();
+}
+
+JsonWriter& JsonWriter::open(char bracket) {
+  separate();
+  out_ += bracket;
+  ++depth_;
+  empty_ = true;
+  return *this;
+}
+
+JsonWriter& JsonWriter::close(char bracket) {
+  --depth_;
+  if (!empty_) newline();
+  out_ += bracket;
+  empty_ = false;  // the enclosing container now holds this one
+  return *this;
+}
+
+JsonWriter& JsonWriter::key(std::string_view name) {
+  separate();
+  append_escaped(out_, name);
+  out_ += indent_ > 0 ? ": " : ":";
+  after_key_ = true;
+  return *this;
+}
+
+JsonWriter& JsonWriter::null() {
+  separate();
+  out_ += "null";
+  return *this;
+}
+
+JsonWriter& JsonWriter::boolean(bool b) {
+  separate();
+  out_ += b ? "true" : "false";
+  return *this;
+}
+
+JsonWriter& JsonWriter::number(double n) {
+  if (!std::isfinite(n)) return null();  // JSON has no inf or nan
+  if (n == std::floor(n) &&
+      std::abs(n) < static_cast<double>(kExactIntegerBound)) {
+    return number(static_cast<std::int64_t>(n));
+  }
+  separate();
+  char buf[32];
+  const int len = std::snprintf(buf, sizeof buf, "%.17g", n);
+  out_.append(buf, static_cast<std::size_t>(len));
+  return *this;
+}
+
+JsonWriter& JsonWriter::number(std::int64_t n) {
+  if (n <= -kExactIntegerBound || n >= kExactIntegerBound) {
+    return number(static_cast<double>(n));
+  }
+  separate();
+  char buf[24];
+  const auto res = std::to_chars(buf, buf + sizeof buf, n);
+  out_.append(buf, res.ptr);
+  return *this;
+}
+
+JsonWriter& JsonWriter::number(std::uint64_t n) {
+  if (n >= static_cast<std::uint64_t>(kExactIntegerBound)) {
+    return number(static_cast<double>(n));
+  }
+  return number(static_cast<std::int64_t>(n));
+}
+
+JsonWriter& JsonWriter::string(std::string_view s) {
+  separate();
+  append_escaped(out_, s);
+  return *this;
+}
+
+JsonWriter& JsonWriter::value(const Json& v) {
+  switch (v.type()) {
+    case Json::Type::kNull: return null();
+    case Json::Type::kBool: return boolean(v.as_bool());
+    case Json::Type::kNumber: return number(v.as_number());
+    case Json::Type::kString: return string(v.as_string());
+    case Json::Type::kArray:
+      begin_array();
+      for (const Json& item : v.as_array()) value(item);
+      return end_array();
+    case Json::Type::kObject:
+      begin_object();
+      for (const auto& [name, item] : v.as_object()) key(name).value(item);
+      return end_object();
+  }
+  return *this;
 }
 
 }  // namespace feam::support

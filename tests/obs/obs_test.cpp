@@ -240,6 +240,27 @@ TEST(HistogramSnapshot, FromJsonRejectsInconsistentBuckets) {
   EXPECT_FALSE(HistogramSnapshot::from_json(support::Json("x")).has_value());
 }
 
+TEST(HistogramSnapshot, FromJsonRejectsUnrepresentableCounts) {
+  // count and buckets, which must be numbers, must also fit a uint64.
+  for (const char* text :
+       {R"({"count":1e300})", R"({"count":-1e19})", R"({"count":-1})",
+        R"({"count":1,"buckets":[1e300]})", R"({"count":1,"buckets":[-1]})",
+        R"({"count":0,"buckets":[-1e19]})"}) {
+    const auto j = support::Json::parse(text);
+    ASSERT_TRUE(j.has_value()) << text;
+    EXPECT_FALSE(HistogramSnapshot::from_json(*j).has_value()) << text;
+  }
+  // sum/min/max default to 0 when absent, and likewise when they do not fit.
+  const auto j = support::Json::parse(
+      R"({"count":1,"sum":-1,"min":-1e19,"max":1e300,"buckets":[1]})");
+  ASSERT_TRUE(j.has_value());
+  const auto s = HistogramSnapshot::from_json(*j);
+  ASSERT_TRUE(s.has_value());
+  EXPECT_EQ(s->sum, 0u);
+  EXPECT_EQ(s->min(), 0u);
+  EXPECT_EQ(s->max, 0u);
+}
+
 TEST(HistogramSnapshot, EmptyMergesAndReportsZero) {
   HistogramSnapshot empty;
   HistogramSnapshot other;

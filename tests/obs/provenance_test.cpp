@@ -94,7 +94,7 @@ TEST(Provenance, DetailTruncatedOnAdd) {
   EvidenceSet set;
   set.add(e);
   ASSERT_EQ(set.items().size(), 1u);
-  EXPECT_EQ(set.items()[0].detail.size(), EvidenceSet::kMaxDetail);
+  EXPECT_EQ(set.items().front().detail.size(), EvidenceSet::kMaxDetail);
   EXPECT_TRUE(set.validate().empty());
 }
 

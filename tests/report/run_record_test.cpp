@@ -5,7 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include "eval/experiment.hpp"
+#include "eval/fleet.hpp"
+#include "eval/run_records.hpp"
 #include "feam/phases.hpp"
+#include "fleet/generate.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "support/json.hpp"
@@ -118,6 +122,111 @@ TEST_F(RunRecordLive, TargetPhaseAssemblesAValidRecord) {
   EXPECT_EQ(back->histograms.size(), record.histograms.size());
   EXPECT_EQ(back->span_duration_ns("feam.target_phase"), phase_ns);
   EXPECT_EQ(back->bundle_bytes, 4096u);
+}
+
+// The streamed record equals the tree's dump, line by line and as JSONL.
+void expect_streams_as_tree(const std::vector<RunRecord>& records) {
+  std::string expected;
+  for (const auto& record : records) {
+    std::string line;
+    support::JsonWriter w(line);
+    record.write_json(w);
+    EXPECT_EQ(line, record.to_json().dump())
+        << record.binary << " @ " << record.target_site;
+    expected += record.to_json().dump();
+    expected += '\n';
+  }
+  EXPECT_EQ(records_jsonl(records), expected);
+}
+
+TEST(RunRecordTest, WriteJsonMatchesTheTreeOnDriftedFleetRecords) {
+  fleet::FleetSpec spec;
+  spec.name = "writer";
+  spec.sites = 8;
+  spec.workloads = 4;
+  spec.drift_rate = 1.0;
+  fleet::Fleet fleet = fleet::generate_fleet(spec, 20130613);
+  const auto result = eval::run_fleet(fleet);
+  ASSERT_EQ(result.records.size(), 8u * 4u);
+  ASSERT_FALSE(result.drift_log.empty());
+  expect_streams_as_tree(result.records);
+  EXPECT_EQ(result.records_jsonl(), records_jsonl(result.records));
+}
+
+TEST(RunRecordTest, WriteJsonMatchesTheTreeOnPaperRecords) {
+  eval::ExperimentOptions options;
+  options.fault_seed = 0;
+  options.only_benchmarks = {"is.B", "cg.B"};
+  eval::Experiment experiment(options);
+  experiment.build_test_set();
+  experiment.run();
+  const auto records = eval::to_run_records(experiment.results());
+  ASSERT_FALSE(records.empty());
+  expect_streams_as_tree(records);
+}
+
+TEST(RunRecordTest, WriteJsonMatchesTheTreeWithEveryOptionalField) {
+  RunRecord r;
+  r.command = "target";
+  r.binary = "app";
+  r.source_site = "india";
+  r.target_site = "fir";
+  r.mode = "extended";
+  r.exit_code = 2;
+  r.has_prediction = true;
+  r.determinants = {{"isa", true, true, ""},
+                    {"c_library", true, false, "needs \"glibc\" \x93\xff 2.12"},
+                    {"mpi_stack", false, false, ""}};
+  r.missing_libraries = 3;
+  r.resolved_libraries = 2;
+  r.unresolved_libraries = 1;
+  r.bundle_bytes = std::uint64_t{1} << 60;  // past 1e15: the double rule
+  r.spans = {{1, 0, "root", 0, 1000, 0, 4096, 3},
+             {2, 1, "child\tname", 100, 300, 1},
+             {3, 0, "late", 2'000'000'000'000'000, 5, 2, 64, 1}};
+  r.profile = obs::build_profile(to_profile_spans(r));
+  obs::Histogram h;
+  for (const std::uint64_t v : {0ull, 5ull, 700ull, 123456789ull}) h.record(v);
+  r.histograms["phase.target_ns"] = h.snapshot();
+  r.histograms["empty"] = obs::HistogramSnapshot{};
+  r.counters = {{"tec.determinant_checks", 4},
+                {"big", std::uint64_t{1} << 55}};
+  for (std::uint64_t i = 0; i < 140; ++i) {
+    r.provenance.add({"tec.shared_libraries", "file", "fir",
+                      "/usr/lib/lib" + std::to_string(i) + ".so",
+                      "seen \xc0\xaf bytes \xf0\x9d\x84\x9e",
+                      i * 0x9e3779b97f4a7c15ull});
+  }
+  ASSERT_EQ(r.provenance.dropped(), 140u - obs::EvidenceSet::kMaxItems);
+  expect_streams_as_tree({r});
+}
+
+TEST(RunRecordTest, FromJsonReadsUnrepresentableNumbersSafely) {
+  // Counts read through the getters fall back to 0 when they do not fit.
+  const auto lenient = support::Json::parse(
+      R"({"schema":"feam.run_record/1","command":"target",)"
+      R"("exit_code":1e300,"bundle_bytes":-1,"missing_libraries":-1e19,)"
+      R"("spans":[{"id":1,"name":"s","tid":-1e19,"start_ns":-1,)"
+      R"("dur_ns":1e300}]})");
+  ASSERT_TRUE(lenient.has_value());
+  const auto r = RunRecord::from_json(*lenient);
+  ASSERT_TRUE(r.has_value());
+  EXPECT_EQ(r->exit_code, 0);
+  EXPECT_EQ(r->bundle_bytes, 0u);
+  EXPECT_EQ(r->missing_libraries, 0u);
+  ASSERT_EQ(r->spans.size(), 1u);
+  EXPECT_EQ(r->spans[0].tid, 0);
+  EXPECT_EQ(r->spans[0].start_ns, 0u);
+  EXPECT_EQ(r->spans[0].duration_ns, 0u);
+  // Counters, which must be numbers, must also fit.
+  for (const char* bad : {"1e300", "-1e19", "-1"}) {
+    const auto j = support::Json::parse(
+        std::string(R"({"schema":"feam.run_record/1","command":"target",)"
+                    R"("counters":{"c":)") +
+        bad + "}}");
+    ASSERT_TRUE(j.has_value()) << bad;
+    EXPECT_FALSE(RunRecord::from_json(*j).has_value()) << bad;
+  }
 }
 
 TEST(RunRecordTest, BlockingDeterminantNamesTheFirstIncompatible) {

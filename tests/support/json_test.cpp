@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <functional>
+#include <limits>
+
 namespace feam::support {
 namespace {
 
@@ -10,7 +15,7 @@ TEST(JsonParse, Scalars) {
   EXPECT_TRUE(Json::parse("true")->as_bool());
   EXPECT_FALSE(Json::parse("false")->as_bool());
   EXPECT_DOUBLE_EQ(Json::parse("3.5")->as_number(), 3.5);
-  EXPECT_EQ(Json::parse("-42")->as_int(), -42);
+  EXPECT_EQ(Json::parse("-42")->to_int(), -42);
   EXPECT_EQ(Json::parse("\"hi\"")->as_string(), "hi");
 }
 
@@ -46,6 +51,34 @@ TEST(JsonAccess, MissingKeysAreNull) {
   EXPECT_TRUE(v["missing"].is_null());
   EXPECT_EQ(v.get_string("missing", "fallback"), "fallback");
   EXPECT_EQ(v.get_int("missing", 7), 7);
+}
+
+TEST(JsonAccess, IntegerReadsRejectUnrepresentableNumbers) {
+  const Json v = *Json::parse(
+      R"({"huge": 1e300, "low": -1e19, "neg": -1, "frac": -2.75})");
+  EXPECT_EQ(v.get_int("huge", 7), 7);
+  EXPECT_EQ(v.get_int("low", 7), 7);
+  EXPECT_EQ(v.get_int("neg", 7), -1);
+  EXPECT_EQ(v.get_int("frac", 7), -2);  // truncates toward zero
+  EXPECT_EQ(v.get_uint("huge", 7), 7u);
+  EXPECT_EQ(v.get_uint("low", 7), 7u);
+  EXPECT_EQ(v.get_uint("neg", 7), 7u);  // -1 is no count
+  EXPECT_EQ(Json::parse(R"({"tid":-1e19})")->get_int("tid"), 0);
+
+  // The range ends: -2^63 and 2^64 - 2048 (the largest double below 2^64)
+  // fit; 2^63 and 2^64 do not.
+  EXPECT_EQ(Json::parse("-9223372036854775808")->to_int(),
+            std::numeric_limits<std::int64_t>::min());
+  EXPECT_FALSE(Json::parse("9223372036854775808")->to_int().has_value());
+  EXPECT_EQ(Json::parse("18446744073709549568")->to_uint(),
+            18446744073709549568ull);
+  EXPECT_FALSE(Json::parse("18446744073709551616")->to_uint().has_value());
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double bad : {inf, -inf, std::nan("")}) {
+    EXPECT_FALSE(Json(bad).to_int().has_value()) << bad;
+    EXPECT_FALSE(Json(bad).to_uint().has_value()) << bad;
+  }
+  EXPECT_FALSE(Json("12").to_int().has_value());  // not a number
 }
 
 TEST(JsonDump, RoundTrip) {
@@ -158,6 +191,173 @@ TEST(JsonDump, InvalidByteSurvivesAsLatin1Codepoint) {
   ASSERT_TRUE(reparsed.has_value());
   // \u0093 decodes as UTF-8 for U+0093 (0xc2 0x93).
   EXPECT_EQ(reparsed->as_string(), "a\xc2\x93z");
+}
+
+TEST(JsonDump, NonFiniteNumbersWriteAsNullAndRoundTrip) {
+  const double inf = std::numeric_limits<double>::infinity();
+  Json obj;
+  obj.set("inf", inf);
+  obj.set("nan", std::nan(""));
+  obj.set("ninf", -inf);
+  obj.set("one", 1);
+  const std::string dumped = obj.dump();
+  EXPECT_EQ(dumped, R"({"inf":null,"nan":null,"ninf":null,"one":1})");
+  const auto reparsed = Json::parse(dumped);
+  ASSERT_TRUE(reparsed.has_value());
+  EXPECT_TRUE((*reparsed)["inf"].is_null());
+  EXPECT_TRUE((*reparsed)["nan"].is_null());
+  EXPECT_EQ(reparsed->dump(), dumped);
+}
+
+// One input of the dump tests above: the tree, and the same value written
+// through the streaming calls a bulk producer would make.
+struct DumpCase {
+  Json tree;
+  std::function<void(JsonWriter&)> stream;
+};
+
+std::vector<DumpCase> dump_cases() {
+  std::vector<DumpCase> cases;
+  const auto text = [&](const std::string& s) {
+    cases.push_back({Json(s), [s](JsonWriter& w) { w.string(s); }});
+  };
+  // RoundTrip's object, keys written in sorted order.
+  Json obj;
+  obj.set("name", "libmpich.so.1.2");
+  obj.set("size", std::int64_t{2621440});
+  obj.set("versions", Json(Json::Array{Json("GLIBC_2.3"), Json("GLIBC_2.4")}));
+  Json nested;
+  nested.set("deep", true);
+  obj.set("meta", nested);
+  cases.push_back({obj, [](JsonWriter& w) {
+                     w.begin_object();
+                     w.key("meta").begin_object().key("deep").boolean(true)
+                         .end_object();
+                     w.key("name").string("libmpich.so.1.2");
+                     w.key("size").number(std::int64_t{2621440});
+                     w.key("versions").begin_array().string("GLIBC_2.3")
+                         .string("GLIBC_2.4").end_array();
+                     w.end_object();
+                   }});
+  // DeterministicKeyOrder's object.
+  Json keys;
+  keys.set("zeta", 1);
+  keys.set("alpha", 2);
+  cases.push_back({keys, [](JsonWriter& w) {
+                     w.begin_object().key("alpha").number(2).key("zeta")
+                         .number(1).end_object();
+                   }});
+  // Escapes, control bytes, UTF-8, non-BMP and invalid UTF-8.
+  text("a\x01z");
+  text(std::string("nul \0 bell \x07 esc \x1b del \x7f", 24));
+  text("say \"hi\" c:\\path\\to\nend\tok\r.");
+  text("caf\xc3\xa9 \xe2\x82\xac \xf0\x9d\x84\x9e");
+  text("\xf0\x9d\x84\x9e\xf4\x8f\xbf\xbf");
+  text("GCC: (GNU) 4.1.2 \x93 oops");
+  text("\xc0\xaf" "bad overlong");
+  text("truncated \xe2\x82");
+  text("\xff\xfe byte-order mark-ish");
+  text("ed surrogate \xed\xa0\x80");
+  text("a\x93z");
+  text("");
+  // Numbers: integral and fractional, negative, at and past 1e15, past
+  // 2^53, through each integer overload and through doubles.
+  const std::uint64_t big = (std::uint64_t{1} << 53) + 1;
+  const std::int64_t min64 = std::numeric_limits<std::int64_t>::min();
+  cases.push_back({Json(Json::Array{
+                       Json(0), Json(-42), Json(3.25), Json(-0.5), Json(0.1),
+                       Json(1e15), Json(-1e15), Json(999999999999999.0),
+                       Json(1e300), Json(std::size_t{1'000'000'000'000'000}),
+                       Json(std::size_t{999'999'999'999'999}), Json(big),
+                       Json(min64), Json(-0.0)}),
+                   [=](JsonWriter& w) {
+                     w.begin_array()
+                         .number(0)
+                         .number(std::int64_t{-42})
+                         .number(3.25)
+                         .number(-0.5)
+                         .number(0.1)
+                         .number(std::uint64_t{1'000'000'000'000'000})
+                         .number(std::int64_t{-1'000'000'000'000'000})
+                         .number(std::uint64_t{999'999'999'999'999})
+                         .number(1e300)
+                         .number(std::uint64_t{1'000'000'000'000'000})
+                         .number(std::uint64_t{999'999'999'999'999})
+                         .number(big)
+                         .number(min64)
+                         .number(-0.0)
+                         .end_array();
+                   }});
+  // Empty and nested containers, and the scalars.
+  Json holder;
+  holder.set("a", Json(Json::Array{}));
+  holder.set("b", Json(Json::Object{}));
+  holder.set("c", Json(Json::Array{Json(Json::Array{}),
+                                   Json(Json::Array{Json(Json::Object{})})}));
+  holder.set("d", nullptr);
+  holder.set("e", false);
+  cases.push_back({holder, [](JsonWriter& w) {
+                     w.begin_object();
+                     w.key("a").begin_array().end_array();
+                     w.key("b").begin_object().end_object();
+                     w.key("c").begin_array().begin_array().end_array()
+                         .begin_array().begin_object().end_object()
+                         .end_array().end_array();
+                     w.key("d").null();
+                     w.key("e").boolean(false);
+                     w.end_object();
+                   }});
+  cases.push_back({Json(Json::Array{}),
+                   [](JsonWriter& w) { w.begin_array().end_array(); }});
+  cases.push_back({Json(Json::Object{}),
+                   [](JsonWriter& w) { w.begin_object().end_object(); }});
+  return cases;
+}
+
+TEST(JsonDump, StreamingWriterMatchesTreeDump) {
+  const auto cases = dump_cases();
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    for (const int indent : {0, 2}) {
+      std::string streamed;
+      JsonWriter w(streamed, indent);
+      cases[i].stream(w);
+      EXPECT_EQ(streamed, cases[i].tree.dump(indent))
+          << "case " << i << " indent " << indent;
+      EXPECT_TRUE(Json::parse(streamed).has_value()) << streamed;
+    }
+  }
+}
+
+TEST(JsonDump, PinnedLayouts) {
+  // The compact and indented layouts every committed manifest and record
+  // was written in.
+  const auto cases = dump_cases();
+  EXPECT_EQ(cases[0].tree.dump(),
+            R"({"meta":{"deep":true},"name":"libmpich.so.1.2",)"
+            R"("size":2621440,"versions":["GLIBC_2.3","GLIBC_2.4"]})");
+  EXPECT_EQ(cases[0].tree.dump(2),
+            "{\n  \"meta\": {\n    \"deep\": true\n  },\n"
+            "  \"name\": \"libmpich.so.1.2\",\n  \"size\": 2621440,\n"
+            "  \"versions\": [\n    \"GLIBC_2.3\",\n    \"GLIBC_2.4\"\n  ]\n}");
+  std::string numbers;
+  JsonWriter(numbers).value(*Json::parse(
+      "[1e15, 999999999999999, -0.5, 0.1, 9007199254740993, 1e300]"));
+  EXPECT_EQ(numbers,
+            "[1000000000000000,999999999999999,-0.5,0.10000000000000001,"
+            "9007199254740992,1.0000000000000001e+300]");
+  EXPECT_EQ(Json(std::string("\x01\x1f\x7f")).dump(),
+            "\"\\u0001\\u001f\x7f\"");
+}
+
+TEST(JsonDump, WriterAppendsOneLinePerTopLevelValue) {
+  std::string out = "prefix\n";
+  JsonWriter w(out);
+  w.begin_object().key("a").number(1).end_object();
+  out += '\n';
+  w.begin_array().number(2).end_array();
+  out += '\n';
+  w.string("s");
+  EXPECT_EQ(out, "prefix\n{\"a\":1}\n[2]\n\"s\"");
 }
 
 }  // namespace
