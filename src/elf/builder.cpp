@@ -1,7 +1,9 @@
 #include "elf/builder.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
+#include <cstring>
 #include <map>
 #include <string>
 #include <vector>
@@ -48,7 +50,8 @@ class StringTable {
 struct SectionDesc {
   std::string name;
   std::uint32_t type = kShtProgbits;
-  Bytes body;
+  Bytes body;               // empty for .text, which is filled in the image
+  std::uint64_t size = 0;   // sh_size
   std::uint32_t link = 0;   // section index for sh_link
   std::uint32_t info = 0;   // record count for verneed/verdef
   std::uint64_t entsize = 0;
@@ -94,7 +97,6 @@ class Layout {
                       std::uint64_t verdef_vaddr);
   Bytes build_comment() const;
   Bytes build_abi_note() const;
-  Bytes build_text() const;
 
   void write_symbol(ByteWriter& w, std::uint32_t name_off, std::uint8_t info,
                     std::uint16_t shndx) const;
@@ -326,21 +328,21 @@ Bytes Layout::build_abi_note() const {
   return w.take();
 }
 
-Bytes Layout::build_text() const {
-  Bytes text(spec_.text_size);
-  support::Rng rng(spec_.content_seed);
-  // Fill in u64 strides; the tail is handled byte-wise.
-  std::size_t i = 0;
-  for (; i + 8 <= text.size(); i += 8) {
-    const std::uint64_t v = rng.next_u64();
-    for (int b = 0; b < 8; ++b) {
-      text[i + static_cast<std::size_t>(b)] = static_cast<std::uint8_t>(v >> (8 * b));
+// Synthesizes .text in place: successive SplitMix64 draws from `seed`,
+// each stored as eight little-endian bytes whatever the host's byte order,
+// and the low bytes of one more draw for a partial last word.
+void fill_text(std::uint8_t* out, std::size_t size, std::uint64_t seed) {
+  support::Rng rng(seed);
+  const auto store = [&](std::size_t at, std::size_t count) {
+    std::uint64_t word = rng.next_u64();
+    if constexpr (std::endian::native == std::endian::big) {
+      word = __builtin_bswap64(word);
     }
-  }
-  for (std::uint64_t v = rng.next_u64(); i < text.size(); ++i, v >>= 8) {
-    text[i] = static_cast<std::uint8_t>(v);
-  }
-  return text;
+    std::memcpy(out + at, &word, count);
+  };
+  std::size_t i = 0;
+  for (; i + 8 <= size; i += 8) store(i, 8);
+  if (i < size) store(i, size - i);
 }
 
 void Layout::write_shdr(ByteWriter& w, std::uint32_t name_off,
@@ -351,7 +353,7 @@ void Layout::write_shdr(ByteWriter& w, std::uint32_t name_off,
     w.u64(0);                     // sh_flags
     w.u64(addr);                  // sh_addr
     w.u64(s.offset);              // sh_offset
-    w.u64(s.body.size());         // sh_size
+    w.u64(s.size);                // sh_size
     w.u32(s.link);
     w.u32(s.info);
     w.u64(1);                     // sh_addralign
@@ -362,7 +364,7 @@ void Layout::write_shdr(ByteWriter& w, std::uint32_t name_off,
     w.u32(0);
     w.u32(static_cast<std::uint32_t>(addr));
     w.u32(static_cast<std::uint32_t>(s.offset));
-    w.u32(static_cast<std::uint32_t>(s.body.size()));
+    w.u32(static_cast<std::uint32_t>(s.size));
     w.u32(s.link);
     w.u32(s.info);
     w.u32(1);
@@ -387,19 +389,19 @@ Bytes Layout::build() {
   Bytes dynamic_placeholder = dynamic_link ? build_dynamic(0, 0, 0, 0, 0) : Bytes{};
   Bytes comment = build_comment();
   Bytes abi_note = build_abi_note();
-  Bytes text = build_text();
   // collect_strings() + the builders above have interned every string, so
   // dynstr is final now.
   Bytes dynstr(dynstr_.data().begin(), dynstr_.data().end());
 
   // Section order; index 0 is the null section.
   std::vector<SectionDesc> sections;
-  sections.push_back({"", kShtNull, {}, 0, 0, 0, 0});
+  sections.push_back({"", kShtNull, {}, 0, 0, 0, 0, 0});
   const auto add = [&](std::string name, std::uint32_t type, Bytes body,
                        std::uint32_t link = 0, std::uint32_t info = 0,
                        std::uint64_t entsize = 0) -> std::size_t {
-    sections.push_back({std::move(name), type, std::move(body), link, info,
-                        entsize, 0});
+    const std::uint64_t size = body.size();
+    sections.push_back({std::move(name), type, std::move(body), size, link,
+                        info, entsize, 0});
     return sections.size() - 1;
   };
 
@@ -429,7 +431,8 @@ Bytes Layout::build() {
   }
   if (!comment.empty()) add(".comment", kShtProgbits, std::move(comment));
   if (!abi_note.empty()) add(".note.feam.abi", kShtNote, std::move(abi_note));
-  add(".text", kShtProgbits, std::move(text));
+  const std::size_t idx_text = add(".text", kShtProgbits, {});
+  sections[idx_text].size = spec_.text_size;
   // .shstrtab body is produced below once all names are known.
   StringTable shstrtab;
   for (const auto& s : sections) shstrtab.add(s.name);
@@ -446,7 +449,7 @@ Bytes Layout::build() {
     // Keep 4-byte alignment so u32 fields inside bodies stay aligned.
     cursor = (cursor + 3) & ~std::uint64_t{3};
     s.offset = cursor;
-    cursor += s.body.size();
+    cursor += s.size;
   }
   const std::uint64_t shoff = (cursor + 7) & ~std::uint64_t{7};
   const std::uint64_t file_end = shoff + sections.size() * shentsize();
@@ -456,16 +459,19 @@ Bytes Layout::build() {
     const auto vaddr_of = [&](std::size_t idx) -> std::uint64_t {
       return idx == 0 ? 0 : sections[idx].offset;
     };
-    Bytes dyn = build_dynamic(vaddr_of(idx_dynstr), sections[idx_dynstr].body.size(),
+    Bytes dyn = build_dynamic(vaddr_of(idx_dynstr), sections[idx_dynstr].size,
                               vaddr_of(idx_dynsym), vaddr_of(idx_verneed),
                               vaddr_of(idx_verdef));
-    assert(dyn.size() == sections[idx_dynamic].body.size());
+    assert(dyn.size() == sections[idx_dynamic].size);
     sections[idx_dynamic].body = std::move(dyn);
     (void)idx_versym;
   }
 
-  // ---- Serialize.
+  // ---- Serialize into one allocation of exactly file_end bytes: an
+  // interned blob keeps its vector's capacity, so slack would stay resident
+  // for the life of the image.
   ByteWriter w(endian_);
+  w.reserve(file_end);
   // e_ident
   for (const std::uint8_t m : kMagic) w.u8(m);
   w.u8(is64_ ? kClass64 : kClass32);
@@ -514,10 +520,11 @@ Bytes Layout::build() {
   };
   phdr(kPtLoad, 0, file_end);
   if (dynamic_link) {
-    phdr(kPtDynamic, sections[idx_dynamic].offset,
-         sections[idx_dynamic].body.size());
+    phdr(kPtDynamic, sections[idx_dynamic].offset, sections[idx_dynamic].size);
   }
 
+  // .text's body is empty, so the next pad_to zero-fills its range and
+  // fill_text overwrites it below.
   for (const auto& s : sections) {
     if (s.type == kShtNull) continue;
     w.pad_to(s.offset);
@@ -529,7 +536,10 @@ Bytes Layout::build() {
     write_shdr(w, shstrtab.add(s.name), s, s.type == kShtNull ? 0 : s.offset);
   }
   assert(w.size() == file_end);
-  return w.take();
+  Bytes image = w.take();
+  fill_text(image.data() + sections[idx_text].offset, spec_.text_size,
+            spec_.content_seed);
+  return image;
 }
 
 }  // namespace

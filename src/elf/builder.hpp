@@ -27,7 +27,8 @@
 namespace feam::elf {
 
 // Builds the image; never fails for a well-formed spec (asserts on
-// internal layout violations in debug builds).
+// internal layout violations in debug builds). The image's capacity equals
+// its size, so interning it pins no spare bytes.
 support::Bytes build_image(const ElfSpec& spec);
 
 }  // namespace feam::elf

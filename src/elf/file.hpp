@@ -52,6 +52,9 @@ class ElfFile {
   // Zero-copy parse: the returned ElfFile borrows `data` (see the
   // allocation-model note above).
   static support::Result<ElfFile> parse(const support::Bytes& data);
+  // A temporary dies at the end of the call's full expression and would
+  // leave every view dangling.
+  static support::Result<ElfFile> parse(support::Bytes&&) = delete;
 
   // --- file format description (what `objdump -p` / `file` report)
   Isa isa() const { return isa_; }

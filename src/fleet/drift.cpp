@@ -1,5 +1,7 @@
 #include "fleet/drift.hpp"
 
+#include <utility>
+
 #include "support/json.hpp"
 #include "support/rng.hpp"
 #include "toolchain/packages.hpp"
@@ -12,18 +14,20 @@ namespace {
 using site::Site;
 using support::Rng;
 
+// What one op did to a site: DriftOp's kind and detail.
+using Action = std::pair<std::string, std::string>;
+
 // Rewrites the OS identity the way a kernel errata update would: same
 // release, new build stamp. A system write, so discovery re-verifies.
-DriftOp os_bump(Site& s, int round) {
+Action os_bump(Site& s, int round) {
   s.vfs.write_file("/proc/version",
                    "Linux version " + s.kernel_version +
                        " (gcc version unknown) #" + std::to_string(round + 2) +
                        " SMP\n");
-  return {.kind = "os-bump", .detail = "kernel build #" +
-                                           std::to_string(round + 2)};
+  return {"os-bump", "kernel build #" + std::to_string(round + 2)};
 }
 
-DriftOp apply_one(Site& s, Rng& rng, int round) {
+Action apply_one(Site& s, Rng& rng, int round) {
   switch (rng.next_below(6)) {
     // An admin touching a module file (edited comment, re-saved): the
     // database *content* changes while the advertised surface does not —
@@ -42,7 +46,7 @@ DriftOp apply_one(Site& s, Rng& rng, int round) {
                              : std::string("#%Module1.0\n");
       body += "# drift round " + std::to_string(round) + "\n";
       s.vfs.write_file(path, body);
-      return {.kind = "touch-module", .detail = module.name};
+      return {"touch-module", module.name};
     }
     // The database entry vanishes (half-finished upgrade): the stack
     // disappears from `module avail` until a repair round.
@@ -54,14 +58,14 @@ DriftOp apply_one(Site& s, Rng& rng, int round) {
           toolchain::module_database_path(s, module.name);
       if (path.empty()) return os_bump(s, round);
       s.vfs.remove(path);
-      return {.kind = "break-module", .detail = module.name};
+      return {"break-module", module.name};
     }
     // The admin finishes the upgrade: every advertised module is
     // rewritten, undoing earlier breakage.
     case 3: {
       toolchain::write_module_database(s);
-      return {.kind = "repair-modules",
-              .detail = std::to_string(s.module_files.size()) + " modules"};
+      return {"repair-modules",
+              std::to_string(s.module_files.size()) + " modules"};
     }
     // Package re-install at the same prefix: byte-identical libraries
     // (content is seeded by site+soname) under *new* write stamps. The
@@ -71,7 +75,7 @@ DriftOp apply_one(Site& s, Rng& rng, int round) {
       if (s.stacks.empty()) return os_bump(s, round);
       const auto& stack = s.stacks[rng.next_below(s.stacks.size())];
       toolchain::install_mpi_stack(s, stack);
-      return {.kind = "reinstall-stack", .detail = stack.slug()};
+      return {"reinstall-stack", stack.slug()};
     }
     default:
       return os_bump(s, round);
@@ -100,12 +104,11 @@ std::vector<DriftOp> apply_drift_round(Fleet& fleet, int round) {
       s.vfs.unseal("/usr");
     }
     for (int k = 0; k < count; ++k) {
-      DriftOp op = apply_one(s, rng, round);
-      op.site_index = static_cast<int>(i);
-      op.site = s.name;
-      op.round = round;
-      if (container) op.detail += " (image rebuild)";
-      ops.push_back(std::move(op));
+      auto [kind, detail] = apply_one(s, rng, round);
+      if (container) detail += " (image rebuild)";
+      ops.push_back({.site_index = static_cast<int>(i), .site = s.name,
+                     .kind = std::move(kind), .detail = std::move(detail),
+                     .round = round});
     }
     if (container) {
       s.vfs.seal("/opt");

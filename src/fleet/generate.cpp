@@ -57,7 +57,7 @@ std::size_t weighted_pick(Rng& rng, const double* weights, std::size_t n) {
 }
 
 std::string site_name(const FleetSpec& spec, int index) {
-  char suffix[8];
+  char suffix[12];  // room for any int
   std::snprintf(suffix, sizeof suffix, "%03d", index);
   return spec.name + "-" + suffix;
 }

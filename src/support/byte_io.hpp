@@ -20,6 +20,11 @@ class ByteWriter {
  public:
   explicit ByteWriter(Endian endian) : endian_(endian) {}
 
+  // Allocates room for `size` bytes up front. A writer that then writes
+  // exactly `size` bytes never reallocates, and take() returns a vector
+  // with no spare capacity.
+  void reserve(std::size_t size) { out_.reserve(size); }
+
   void u8(std::uint8_t v);
   void u16(std::uint16_t v);
   void u32(std::uint32_t v);

@@ -2,14 +2,6 @@
 
 namespace feam::support {
 
-std::uint64_t Rng::next_u64() {
-  state_ += 0x9e3779b97f4a7c15ULL;
-  std::uint64_t z = state_;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
-
 std::uint64_t Rng::next_below(std::uint64_t bound) {
   // Rejection sampling to avoid modulo bias; bound is always tiny here so
   // the loop almost never iterates.

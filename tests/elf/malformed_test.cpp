@@ -24,7 +24,8 @@ Bytes valid_image() {
 }
 
 TEST(Malformed, EmptyFile) {
-  EXPECT_FALSE(ElfFile::parse({}).ok());
+  const Bytes empty;
+  EXPECT_FALSE(ElfFile::parse(empty).ok());
 }
 
 TEST(Malformed, NotElf) {

@@ -51,7 +51,9 @@ TEST_F(ConcurrencyTest, SpansFromManyThreadsAllSurviveTheMerge) {
   for (std::size_t i = 0; i < spans.size(); ++i) {
     tids.insert(spans[i].tid);
     EXPECT_NE(spans[i].id, 0u);
-    if (i > 0) EXPECT_LT(spans[i - 1].seq, spans[i].seq);
+    if (i > 0) {
+      EXPECT_LT(spans[i - 1].seq, spans[i].seq);
+    }
   }
   EXPECT_EQ(tids.size(), static_cast<std::size_t>(kThreads));
 }

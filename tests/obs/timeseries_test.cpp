@@ -113,7 +113,7 @@ TEST(TimeseriesSampler, EmitsMetaThenSamplesThenFinal) {
 TEST(TimeseriesSampler, StopIsIdempotent) {
   Registry registry;
   LineBuffer sink;
-  TimeseriesSampler sampler(registry, {.interval_ms = 1},
+  TimeseriesSampler sampler(registry, {.interval_ms = 1, .source = {}},
                             [&sink](const std::string& l) { sink(l); });
   registry.counter("once").add(1);
   sampler.stop();
@@ -142,7 +142,7 @@ TEST(TimeseriesStress, SumOfDeltasEqualsFinalCountersUnderConcurrency) {
   std::atomic<bool> go{false};
   std::vector<std::thread> writers;
   {
-    TimeseriesSampler sampler(registry, {.interval_ms = 1},
+    TimeseriesSampler sampler(registry, {.interval_ms = 1, .source = {}},
                               [&sink](const std::string& l) { sink(l); });
     for (int w = 0; w < kWriters; ++w) {
       writers.emplace_back([&registry, &go, w] {

@@ -16,7 +16,9 @@ TEST(TextTable, AlignsColumns) {
   const auto lines = split(out, '\n');
   std::size_t width = lines[0].size();
   for (const auto& line : lines) {
-    if (!line.empty()) EXPECT_EQ(line.size(), width) << line;
+    if (!line.empty()) {
+      EXPECT_EQ(line.size(), width) << line;
+    }
   }
   EXPECT_TRUE(contains(out, "SPEC MPI2007"));
   EXPECT_TRUE(contains(out, "94%"));
