@@ -193,9 +193,7 @@ void report_site_bundle_sizes() {
             *s, workload.program, stack, path);
         if (!compiled.ok()) continue;
         s->unload_all_modules();
-        s->load_module(std::string(site::mpi_impl_slug(stack.impl)) + "/" +
-                       stack.version.str() + "-" +
-                       site::compiler_slug(stack.compiler));
+        s->load_module(stack.module_name());
         const auto parsed = elf::ElfFile::parse(*s->vfs.read(path));
         if (!parsed.ok()) continue;
         const std::vector<std::string> needed(parsed.value().needed().begin(),

@@ -16,11 +16,6 @@ using namespace feam;
 
 namespace {
 
-std::string module_name_of(const site::MpiStackInstall& stack) {
-  return std::string(site::mpi_impl_slug(stack.impl)) + "/" +
-         stack.version.str() + "-" + site::compiler_slug(stack.compiler);
-}
-
 // One-letter cell code for the census grid.
 char classify(toolchain::RunStatus status) {
   switch (status) {
@@ -79,7 +74,7 @@ int main() {
             continue;
           }
           target->unload_all_modules();
-          target->load_module(module_name_of(*best));
+          target->load_module(best->module_name());
           const auto run = toolchain::mpiexec_with_retries(*target, path, 4);
           row.push_back(std::string(1, classify(run.status)));
           target->unload_all_modules();

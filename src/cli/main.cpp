@@ -46,6 +46,7 @@
 #include "report/trend.hpp"
 #include "support/strings.hpp"
 #include "support/table.hpp"
+#include "support/thread_pool.hpp"
 #include "toolchain/linker.hpp"
 #include "toolchain/shell.hpp"
 #include "toolchain/site_spec.hpp"
@@ -548,8 +549,9 @@ int survey(const Options& opts, report::RunContext& ctx) {
     owned.push_back(toolchain::make_site(name));
     sites.push_back(owned.back().get());
   }
+  support::ThreadPool pool(opts.jobs, obs::pool_task_recorder());
   SurveyOptions survey_opts;
-  survey_opts.jobs = opts.jobs;
+  survey_opts.pool = &pool;
   const auto report = survey_sites(sites, site::Vfs::basename(opts.binary),
                                    support::intern(*binary), source, {},
                                    survey_opts);

@@ -21,12 +21,6 @@ namespace {
 
 using site::Site;
 
-// The module name provisioning registers for a stack.
-std::string module_name_of(const site::MpiStackInstall& stack) {
-  return std::string(site::mpi_impl_slug(stack.impl)) + "/" +
-         stack.version.str() + "-" + site::compiler_slug(stack.compiler);
-}
-
 // The naive "matching MPI implementation" stack choice a scientist makes
 // before FEAM is involved: same implementation, preferring the compiler
 // the binary was built with. Returns the chosen module name.
@@ -36,10 +30,10 @@ std::optional<std::string> choose_matching_module(
   const site::MpiStackInstall* fallback = nullptr;
   for (const auto& stack : target.stacks) {
     if (stack.impl != impl || !stack.advertised) continue;
-    if (stack.compiler == preferred_compiler) return module_name_of(stack);
+    if (stack.compiler == preferred_compiler) return stack.module_name();
     if (fallback == nullptr) fallback = &stack;
   }
-  if (fallback != nullptr) return module_name_of(*fallback);
+  if (fallback != nullptr) return fallback->module_name();
   return std::nullopt;
 }
 
@@ -130,7 +124,7 @@ void Experiment::build_test_set() {
         // Paper VI.A: binaries that would not run at the site where they
         // were compiled are excluded too.
         s->unload_all_modules();
-        s->load_module(module_name_of(stack));
+        s->load_module(stack.module_name());
         const auto home_run = toolchain::mpiexec_with_retries(
             *s, path, options_.ranks, {}, options_.retry_attempts);
         s->unload_all_modules();
@@ -165,7 +159,7 @@ const support::Result<feam::SourcePhaseOutput>& Experiment::source_phase_for(
   const auto run_fresh = [&] {
     site::ShellSession shell(home);
     home.unload_all_modules();
-    home.load_module(module_name_of(binary.stack));
+    home.load_module(binary.stack.module_name());
     return feam::run_source_phase(home, binary.path, config, caches_.get());
   };
   if (caches_ == nullptr) {
@@ -378,9 +372,6 @@ std::optional<MigrationResult> Experiment::migrate_one(
     // artifact roots are removed; other jobs' resolution trees under
     // /home/user/feam_resolved are theirs to clean.
     target.vfs.remove(migrated_path);
-    for (const auto& dir : result.extended_prediction.resolution_dirs) {
-      target.vfs.remove(dir);
-    }
     target.vfs.remove(resolution_root);
   }
 
@@ -415,7 +406,9 @@ void Experiment::run() {
     Site* target;
   };
   std::vector<Job> jobs;
+  std::vector<std::pair<std::size_t, std::size_t>> runs;  // binary's [b, e)
   for (const auto& binary : test_set_) {
+    const std::size_t begin = jobs.size();
     for (const auto& target : sites_) {
       if (target->name == binary.home_site) continue;
       // Paper VI.B: results are only reported for target sites with a
@@ -428,46 +421,34 @@ void Experiment::run() {
       }
       jobs.push_back({&binary, target.get()});
     }
+    runs.emplace_back(begin, jobs.size());
+  }
+
+  // The job list is binary-major, so neighbouring jobs share a source
+  // binary (they would serialize on its source-phase memo entry) and
+  // often a target site lease. Submit round-robin across binaries so
+  // concurrently running workers touch distinct binaries and sites; a
+  // pool of one runs them in this order on this thread. Slot indices keep
+  // the original order, so the interleave is invisible in the results.
+  std::vector<std::size_t> order;
+  order.reserve(jobs.size());
+  for (bool more = true; more;) {
+    more = false;
+    for (auto& [begin, end] : runs) {
+      if (begin == end) continue;
+      order.push_back(begin++);
+      more = true;
+    }
   }
 
   std::vector<std::optional<MigrationResult>> slots(jobs.size());
-  if (options_.jobs > 1 && jobs.size() > 1) {
-    // The job list is binary-major, so neighbouring jobs share a source
-    // binary (they would serialize on its source-phase memo entry) and
-    // often a target site lease. Submit round-robin across binaries so
-    // concurrently running workers touch distinct binaries and sites.
-    // Slot indices keep the original order, so the interleave is
-    // invisible in the results.
-    std::vector<std::size_t> order;
-    order.reserve(jobs.size());
-    std::vector<std::pair<std::size_t, std::size_t>> runs;  // [begin, end)
-    for (std::size_t i = 0; i < jobs.size();) {
-      std::size_t j = i;
-      while (j < jobs.size() && jobs[j].binary == jobs[i].binary) ++j;
-      runs.emplace_back(i, j);
-      i = j;
-    }
-    for (bool more = true; more;) {
-      more = false;
-      for (auto& [begin, end] : runs) {
-        if (begin == end) continue;
-        order.push_back(begin++);
-        more = true;
-      }
-    }
-
-    support::ThreadPool pool(options_.jobs, obs::pool_task_recorder());
-    for (const std::size_t i : order) {
-      pool.submit([this, &jobs, &slots, i] {
-        slots[i] = migrate_one(*jobs[i].binary, *jobs[i].target);
-      });
-    }
-    pool.wait();
-  } else {
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
+  support::ThreadPool pool(options_.jobs, obs::pool_task_recorder());
+  for (const std::size_t i : order) {
+    pool.submit([this, &jobs, &slots, i] {
       slots[i] = migrate_one(*jobs[i].binary, *jobs[i].target);
-    }
+    });
   }
+  pool.wait();
   for (auto& slot : slots) {
     if (slot) results_.push_back(std::move(*slot));
   }

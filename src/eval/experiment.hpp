@@ -91,9 +91,10 @@ struct ExperimentOptions {
   // advertised stack).
   bool run_usability_tests = true;
 
-  // Worker threads migrating concurrently (1 = inline sequential). Results
-  // are bit-identical at any job count: the fault model is stateless, every
-  // site is restored after use, and results land in pre-assigned slots.
+  // Size of the pool migrations fan out on (1 = every migration on the
+  // calling thread). Results are bit-identical at any job count: the fault
+  // model is stateless, every site is restored after use, and results land
+  // in pre-assigned slots.
   int jobs = 1;
   // Memoize BDC descriptions (keyed on content blobs), EDC scans
   // (fingerprint-keyed), and the per-binary source phase. Transparent:

@@ -1,24 +1,20 @@
 #include "eval/fleet.hpp"
 
 #include <iterator>
-#include <map>
 #include <optional>
 #include <utility>
 
 #include "feam/caches.hpp"
 #include "feam/survey.hpp"
+#include "obs/metrics.hpp"
 #include "report/aggregate.hpp"
 #include "site/lease.hpp"
+#include "support/thread_pool.hpp"
 #include "toolchain/linker.hpp"
 
 namespace feam::eval {
 
 namespace {
-
-std::string module_name_of(const site::MpiStackInstall& stack) {
-  return std::string(site::mpi_impl_slug(stack.impl)) + "/" +
-         stack.version.str() + "-" + site::compiler_slug(stack.compiler);
-}
 
 report::RunRecord pair_record(const std::string& source_site,
                               const std::string& binary,
@@ -75,6 +71,9 @@ FleetRunResult run_fleet(fleet::Fleet& fleet, const FleetRunOptions& options) {
   site::Site& anchor = fleet.anchor();
   const FeamConfig config{};
   result.records.reserve(fleet.workloads.size() * fleet.sites.size());
+  // One pool for every survey; the surveys are its only tasks, and this
+  // thread holds nothing thread-scoped while one runs.
+  support::ThreadPool pool(options.jobs, obs::pool_task_recorder());
 
   for (std::size_t w = 0; w < fleet.workloads.size(); ++w) {
     const auto& workload = fleet.workloads[w];
@@ -102,7 +101,7 @@ FleetRunResult run_fleet(fleet::Fleet& fleet, const FleetRunOptions& options) {
     {
       site::ShellSession shell(anchor);
       anchor.unload_all_modules();
-      anchor.load_module(module_name_of(stack));
+      anchor.load_module(stack.module_name());
       auto phase = run_source_phase(anchor, path, config, cache_ptr);
       if (phase.ok()) source.emplace(std::move(phase).take());
     }
@@ -111,33 +110,25 @@ FleetRunResult run_fleet(fleet::Fleet& fleet, const FleetRunOptions& options) {
     support::Blob binary = anchor.vfs.read_blob(path);
     if (binary == nullptr) binary = support::intern({});
     SurveyOptions survey_options;
-    survey_options.jobs = options.jobs;
+    survey_options.pool = &pool;
     survey_options.caches = cache_ptr;
     SurveyReport survey =
         survey_sites(sites, workload.program.name, binary,
                      source ? &*source : nullptr, config, survey_options);
     anchor.vfs.remove(path);
 
-    // The survey ranks entries for human output; records go back to fleet
-    // input order so the matrix is position-stable.
-    std::map<std::string_view, SurveyEntry*> by_site;
-    for (auto& entry : survey.entries) by_site[entry.site_name] = &entry;
-    for (const site::Site* s : sites) {
+    // Survey entries are in fleet input order, so record i is site i's.
+    for (std::size_t i = 0; i < sites.size(); ++i) {
       report::RunRecord record =
-          pair_record(anchor.name, workload.program.name, s->name);
-      if (const auto it = by_site.find(s->name); it != by_site.end()) {
-        fill_from_entry(record, std::move(*it->second));
-      } else {
-        record.exit_code = 1;
-      }
+          pair_record(anchor.name, workload.program.name, sites[i]->name);
+      fill_from_entry(record, std::move(survey.entries[i]));
       if (record.ready) ++result.ready_pairs;
       result.records.push_back(std::move(record));
     }
 
     // Rolling upgrades land between sweeps — a sequential barrier point,
     // so the drift schedule is independent of the survey's job count.
-    if (options.drift && fleet.spec.drift_rate > 0 &&
-        w + 1 < fleet.workloads.size()) {
+    if (fleet.spec.drift_rate > 0 && w + 1 < fleet.workloads.size()) {
       auto ops = fleet::apply_drift_round(fleet, static_cast<int>(w));
       result.drift_log.insert(result.drift_log.end(),
                               std::make_move_iterator(ops.begin()),

@@ -2,6 +2,7 @@
 // the fleet's anchor site, runs the source phase once per workload, and
 // surveys the entire fleet with it — an N-site x M-workload readiness
 // matrix produced through the same survey/cache machinery migrations use.
+// Every survey of a run fans out on one pool of `FleetRunOptions::jobs`.
 //
 // Drift interleaving: when the spec enables rolling-upgrade drift, one
 // drift round is applied *between* per-workload surveys — a sequential
@@ -25,11 +26,9 @@
 namespace feam::eval {
 
 struct FleetRunOptions {
+  // Size of the one pool every survey of the run fans out on.
   int jobs = 1;
   bool use_caches = true;
-  // Honor spec.drift_rate between workload sweeps (off for A/B runs that
-  // need a frozen fleet).
-  bool drift = true;
 };
 
 struct FleetCacheStats {

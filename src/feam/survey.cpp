@@ -1,6 +1,7 @@
 #include "feam/survey.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <utility>
 
 #include "feam/caches.hpp"
@@ -19,38 +20,52 @@ std::size_t SurveyReport::ready_count() const {
 }
 
 std::string SurveyReport::render() const {
+  // Rank: ready first (fewer copies to ship first), then blocked sites
+  // alphabetically by determinant for a stable, readable report.
+  std::vector<const SurveyEntry*> ranked;
+  ranked.reserve(entries.size());
+  for (const auto& entry : entries) ranked.push_back(&entry);
+  std::stable_sort(ranked.begin(), ranked.end(),
+                   [](const SurveyEntry* a, const SurveyEntry* b) {
+                     if (a->ready != b->ready) return a->ready;
+                     if (a->ready) {
+                       return a->resolved_copies < b->resolved_copies;
+                     }
+                     return a->blocking_determinant < b->blocking_determinant;
+                   });
   support::TextTable table({"#", "Site", "Verdict", "Detail"});
   int rank = 1;
-  for (const auto& entry : entries) {
-    std::string verdict = entry.ready ? "READY" : "not ready";
-    if (entry.ready && entry.resolved_copies > 0) {
-      verdict += " (" + std::to_string(entry.resolved_copies) + " copies)";
+  for (const SurveyEntry* entry : ranked) {
+    std::string verdict = entry->ready ? "READY" : "not ready";
+    if (entry->ready && entry->resolved_copies > 0) {
+      verdict += " (" + std::to_string(entry->resolved_copies) + " copies)";
     }
-    table.add_row({std::to_string(rank++), entry.site_name, verdict,
-                   entry.ready ? entry.reason
-                               : entry.blocking_determinant + ": " +
-                                     entry.reason});
+    table.add_row({std::to_string(rank++), entry->site_name, verdict,
+                   entry->ready ? entry->reason
+                                : entry->blocking_determinant + ": " +
+                                      entry->reason});
   }
   return table.render();
 }
 
 namespace {
 
-// Assesses one site. When other workers may touch the site concurrently,
-// the caller must lease the probe subtrees (binary path and the default
-// resolution root) and wrap the call in a shell session. The site is
-// restored exactly as found: migrated binary and resolution directories
-// removed (including the default resolution root, which may exist even
-// when the phase errored after partial resolution), loaded modules
-// reinstated.
+// Assesses one site. The leases on its probe subtrees (binary path and the
+// default resolution root) are uncontended within one survey, which visits
+// distinct sites; they coordinate with any concurrent migration writing
+// the same subtree. The shell session keeps module churn private to this
+// thread. The site is left as found: the migrated binary and the
+// resolution root (which holds every resolution directory, and may exist
+// even when the phase errored after partial resolution) are removed.
 SurveyEntry assess_site(site::Site& s, const std::string& path,
                         const support::Blob& binary,
                         const SourcePhaseOutput* source,
                         const FeamConfig& config,
                         MigrationCaches* caches) {
+  site::SubtreeLeases lease({{&s, path}, {&s, TecOptions{}.resolution_root}});
+  site::ShellSession shell(s);
   obs::Span site_span("survey.site", {{"site", s.name}});
   obs::counter("survey.sites_assessed").add();
-  const std::vector<std::string> modules_before = s.loaded_modules();
   s.vfs.write_file(path, binary);
   auto result =
       run_target_phase(s, path, source, config, TecOptions{}, caches);
@@ -85,12 +100,7 @@ SurveyEntry assess_site(site::Site& s, const std::string& path,
   }
   // Leave the site as found.
   s.vfs.remove(path);
-  for (const auto& dir : entry.prediction.resolution_dirs) s.vfs.remove(dir);
   s.vfs.remove(TecOptions{}.resolution_root);
-  if (s.loaded_modules() != modules_before) {
-    s.unload_all_modules();
-    for (const auto& name : modules_before) s.load_module(name);
-  }
   site_span.add_field("ready", entry.ready ? "true" : "false");
   obs::emit(obs::Level::kInfo, "survey.verdict",
             entry.site_name + ": " + (entry.ready ? "ready" : "not ready"),
@@ -109,49 +119,26 @@ SurveyReport survey_sites(std::span<site::Site* const> sites,
                           const SourcePhaseOutput* source,
                           const FeamConfig& config,
                           const SurveyOptions& options) {
-  SurveyReport report;
+  std::optional<support::ThreadPool> calling_thread;
+  support::ThreadPool& pool =
+      options.pool != nullptr ? *options.pool : calling_thread.emplace(1);
   obs::Span survey_span("feam.survey",
                         {{"binary", std::string(binary_name)},
                          {"sites", std::to_string(sites.size())},
-                         {"jobs", std::to_string(options.jobs)}});
+                         {"jobs", std::to_string(pool.size())}});
   const std::string path = "/home/user/" + std::string(binary_name);
 
   // Input-order result slots: the report is independent of completion
-  // order, so every job count produces the same ranking.
-  std::vector<SurveyEntry> entries(sites.size());
-  if (options.jobs > 1 && sites.size() > 1) {
-    support::ThreadPool pool(options.jobs, obs::pool_task_recorder());
-    for (std::size_t i = 0; i < sites.size(); ++i) {
-      pool.submit([&, i] {
-        site::Site& s = *sites[i];
-        // Survey fans out across *distinct* sites, so these leases are
-        // uncontended within one survey; they exist to coordinate with any
-        // concurrent migration writing the same probe subtree, and the
-        // shell session keeps module churn private to this worker.
-        site::SubtreeLeases lease(
-            {{&s, path}, {&s, TecOptions{}.resolution_root}});
-        site::ShellSession shell(s);
-        entries[i] = assess_site(s, path, binary, source, config,
-                                 options.caches);
-      });
-    }
-    pool.wait();
-  } else {
-    for (std::size_t i = 0; i < sites.size(); ++i) {
-      entries[i] = assess_site(*sites[i], path, binary, source, config,
-                               options.caches);
-    }
+  // order, so every pool size produces the same entries.
+  SurveyReport report;
+  report.entries.resize(sites.size());
+  for (std::size_t i = 0; i < sites.size(); ++i) {
+    pool.submit([&, i] {
+      report.entries[i] = assess_site(*sites[i], path, binary, source, config,
+                                      options.caches);
+    });
   }
-  report.entries = std::move(entries);
-
-  // Rank: ready first (fewer copies to ship first), then blocked sites
-  // alphabetically by determinant for a stable, readable report.
-  std::stable_sort(report.entries.begin(), report.entries.end(),
-                   [](const SurveyEntry& a, const SurveyEntry& b) {
-                     if (a.ready != b.ready) return a.ready;
-                     if (a.ready) return a.resolved_copies < b.resolved_copies;
-                     return a.blocking_determinant < b.blocking_determinant;
-                   });
+  pool.wait();
   return report;
 }
 

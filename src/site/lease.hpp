@@ -13,11 +13,7 @@
 // Deadlock freedom: SubtreeLeases sorts its (site, prefix) set by the
 // global (site.lease_id, prefix) order before locking, and a worker never
 // acquires leases incrementally — one vector acquisition up front, held
-// for the job. The whole-site SiteLease/SitePairLease remain for callers
-// that genuinely own the site end to end (sequential tools, tests); they
-// follow the same lease_id order and must not be mixed with subtree
-// leases on the same site concurrently (a site lease does not exclude
-// subtree leases — it is a coarser convention, not a reader-writer lock).
+// for the job.
 //
 // Contention visibility: every acquisition records its wait into the
 // "lease.wait_ns" histogram plus the site-labeled "lease.wait_ns{site=S}"
@@ -59,41 +55,6 @@ inline std::unique_lock<std::mutex> acquire_lease(Site& site,
 
 }  // namespace detail
 
-// RAII lease on a single site.
-class SiteLease {
- public:
-  explicit SiteLease(Site& site)
-      : lock_(detail::acquire_lease(site, site.lease_mutex())) {}
-
-  SiteLease(const SiteLease&) = delete;
-  SiteLease& operator=(const SiteLease&) = delete;
-
- private:
-  std::unique_lock<std::mutex> lock_;
-};
-
-// RAII lease on two distinct sites, acquired in lease_id order (lower id
-// first) regardless of argument order. Used for the one step of a
-// migration that genuinely touches both sites at once: copying the binary
-// from home to target.
-class SitePairLease {
- public:
-  SitePairLease(Site& a, Site& b)
-      : first_(a.lease_id() < b.lease_id()
-                   ? detail::acquire_lease(a, a.lease_mutex())
-                   : detail::acquire_lease(b, b.lease_mutex())),
-        second_(a.lease_id() < b.lease_id()
-                    ? detail::acquire_lease(b, b.lease_mutex())
-                    : detail::acquire_lease(a, a.lease_mutex())) {}
-
-  SitePairLease(const SitePairLease&) = delete;
-  SitePairLease& operator=(const SitePairLease&) = delete;
-
- private:
-  std::unique_lock<std::mutex> first_;
-  std::unique_lock<std::mutex> second_;
-};
-
 // RAII thread-private shell: environment variables and the loaded-module
 // list become a private copy for the calling thread (see Environment
 // sessions). Module loads, LD_LIBRARY_PATH edits, and mpiexec runs inside
@@ -115,8 +76,8 @@ class ShellSession {
 // RAII lease over a set of (site, path-prefix) subtrees, acquired in the
 // global (lease_id, prefix) order regardless of argument order, so any two
 // workers' vectors interleave without cycles. Duplicate subtrees collapse
-// to one acquisition. Each acquisition charges its wait to the same
-// "lease.wait_ns" series as the whole-site leases.
+// to one acquisition. Each acquisition charges its wait to the
+// "lease.wait_ns" series.
 class SubtreeLeases {
  public:
   using Subtree = std::pair<Site*, std::string>;

@@ -35,7 +35,6 @@ struct Site::SubtreeTable {
 
 Site::Site()
     : lease_id_(next_lease_id()),
-      lease_mutex_(std::make_unique<std::mutex>()),
       subtree_table_(std::make_unique<SubtreeTable>()) {}
 
 Site::~Site() = default;
@@ -88,6 +87,11 @@ std::mutex& Site::subtree_mutex(std::string_view prefix) const {
 
 std::string MpiStackInstall::slug() const {
   return std::string(mpi_impl_slug(impl)) + "-" + version.str() + "-" +
+         compiler_slug(compiler);
+}
+
+std::string MpiStackInstall::module_name() const {
+  return std::string(mpi_impl_slug(impl)) + "/" + version.str() + "-" +
          compiler_slug(compiler);
 }
 

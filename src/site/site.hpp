@@ -56,8 +56,12 @@ struct MpiStackInstall {
   // search order.
   bool wrappers_embed_rpath = false;
 
-  // "openmpi-1.4.3-intel" — used for prefixes, module names, softenv keys.
+  // "openmpi-1.4.3-intel" — used for prefixes and softenv keys; a module
+  // name with '/' flattened to '-' matches it.
   std::string slug() const;
+  // "openmpi/1.4.3-intel" — the module provisioning registers for the
+  // stack, and the one a user loads to build or run with it.
+  std::string module_name() const;
   // Table II notation: "Open MPI v1.4 (i)".
   std::string display() const;
 };
@@ -173,11 +177,6 @@ class Site {
   // orders lock acquisition by it (lower id first) for deadlock freedom.
   std::uint64_t lease_id() const { return lease_id_; }
 
-  // Mutex a SiteLease holds for the duration of any mutating sequence.
-  // Held behind a unique_ptr so Site stays movable (tests return Sites by
-  // value); the mutex object itself never moves.
-  std::mutex& lease_mutex() const { return *lease_mutex_; }
-
   // Lease mutex for one subtree of this site, created on first use and
   // stable for the Site's lifetime. `prefix` is a path prefix (usually a
   // per-job artifact root); two workers lease the same mutex iff they name
@@ -198,7 +197,6 @@ class Site {
   std::vector<std::string> loaded_;
   std::uint64_t module_generation_ = 0;
   std::uint64_t lease_id_;
-  std::unique_ptr<std::mutex> lease_mutex_;
   // Subtree lease table: mutexes live in a node-stable map behind a
   // unique_ptr (Site stays movable; the mutex objects never move).
   struct SubtreeTable;

@@ -89,9 +89,7 @@ void provision_site(Site& s) {
 
     if (!stack.advertised) continue;
     site::ModuleFile module;
-    module.name = std::string(site::mpi_impl_slug(stack.impl)) + "/" +
-                  stack.version.str() + "-" +
-                  site::compiler_slug(stack.compiler);
+    module.name = stack.module_name();
     module.prepends.emplace_back("PATH", stack.prefix + "/bin");
     module.prepends.emplace_back("LD_LIBRARY_PATH", stack.prefix + "/lib");
     // Non-system compilers chain their runtime directory in, as real

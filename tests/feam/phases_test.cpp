@@ -30,10 +30,7 @@ HomeSetup compiled_home(const char* site_name, MpiImpl impl,
       toolchain::compile_mpi_program(*h.site, p, *stack, "/home/user/app");
   EXPECT_TRUE(r.ok()) << r.error();
   h.path = r.value();
-  const std::string module = std::string(site::mpi_impl_slug(impl)) + "/" +
-                             stack->version.str() + "-" +
-                             site::compiler_slug(fam);
-  h.site->load_module(module);
+  h.site->load_module(stack->module_name());
   return h;
 }
 

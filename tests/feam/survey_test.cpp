@@ -4,6 +4,7 @@
 
 #include "feam/caches.hpp"
 #include "support/strings.hpp"
+#include "support/thread_pool.hpp"
 #include "toolchain/linker.hpp"
 #include "toolchain/testbed.hpp"
 
@@ -35,8 +36,7 @@ Fixture make_fixture(MpiImpl impl, CompilerFamily fam,
                                                        "/home/user/probe");
   EXPECT_TRUE(compiled.ok());
   f.binary = f.home->vfs.read_blob(compiled.value());
-  f.home->load_module(std::string(site::mpi_impl_slug(impl)) + "/" +
-                      stack->version.str() + "-" + site::compiler_slug(fam));
+  f.home->load_module(stack->module_name());
   f.source = run_source_phase(*f.home, compiled.value()).take();
 
   for (const auto& name : toolchain::testbed_site_names()) {
@@ -47,20 +47,63 @@ Fixture make_fixture(MpiImpl impl, CompilerFamily fam,
   return f;
 }
 
+// The rendered table's data rows, each split into its trimmed cells
+// (#, Site, Verdict, Detail).
+std::vector<std::vector<std::string>> table_rows(const std::string& text) {
+  std::vector<std::vector<std::string>> rows;
+  for (const auto& line : support::split(text, '\n')) {
+    if (!support::starts_with(line, "|")) continue;
+    std::vector<std::string> cells;
+    for (const auto& cell : support::split(line, '|')) {
+      cells.emplace_back(support::trim(cell));
+    }
+    // split() yields an empty piece before the first and after the last
+    // bar.
+    rows.emplace_back(cells.begin() + 1, cells.end() - 1);
+  }
+  if (!rows.empty()) rows.erase(rows.begin());  // the header
+  return rows;
+}
+
 TEST(Survey, RanksReadySitesFirst) {
   auto f = make_fixture(MpiImpl::kOpenMpi, CompilerFamily::kIntel,
                         toolchain::Language::kC);
   const auto report = survey_sites(f.sites, "probe", f.binary, &f.source);
   ASSERT_EQ(report.entries.size(), 4u);
   EXPECT_GT(report.ready_count(), 0u);
-  // Ready entries are a prefix of the ranking.
+  const auto rows = table_rows(report.render());
+  ASSERT_EQ(rows.size(), 4u);
+  // Ready rows are a prefix of the ranked table, numbered from 1.
+  std::size_t ready_rows = 0;
   bool seen_not_ready = false;
-  for (const auto& entry : report.entries) {
-    if (!entry.ready) seen_not_ready = true;
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    ASSERT_EQ(rows[i].size(), 4u);
+    EXPECT_EQ(rows[i][0], std::to_string(i + 1));
+    const bool ready = support::starts_with(rows[i][2], "READY");
+    if (!ready) seen_not_ready = true;
     if (seen_not_ready) {
-      EXPECT_FALSE(entry.ready);
+      EXPECT_FALSE(ready) << rows[i][1];
     }
+    ready_rows += ready;
   }
+  EXPECT_EQ(ready_rows, report.ready_count());
+}
+
+TEST(Survey, EntriesKeepSiteInputOrder) {
+  // An MPICH2 binary: only Fir is ready, and render() ranks it first, but
+  // the entries stay in the order the sites were given.
+  auto f = make_fixture(MpiImpl::kMpich2, CompilerFamily::kGnu,
+                        toolchain::Language::kC);
+  const auto report = survey_sites(f.sites, "probe", f.binary, &f.source);
+  ASSERT_EQ(report.entries.size(), f.sites.size());
+  for (std::size_t i = 0; i < f.sites.size(); ++i) {
+    EXPECT_EQ(report.entries[i].site_name, f.sites[i]->name);
+  }
+  // Only the table is ranked: Fir, last in input order, heads it.
+  EXPECT_EQ(report.entries.back().site_name, "fir");
+  const auto rows = table_rows(report.render());
+  ASSERT_FALSE(rows.empty());
+  EXPECT_EQ(rows.front()[1], "fir");
 }
 
 TEST(Survey, BlockedSitesNameTheDeterminant) {
@@ -115,8 +158,9 @@ TEST(Survey, PooledSurveyMatchesSequentialAndRestoresSites) {
   const auto sequential = survey_sites(f.sites, "probe", f.binary, &f.source);
 
   MigrationCaches caches;
+  support::ThreadPool pool(4);
   SurveyOptions options;
-  options.jobs = 4;
+  options.pool = &pool;
   options.caches = &caches;
   const auto pooled =
       survey_sites(f.sites, "probe", f.binary, &f.source, {}, options);
@@ -132,7 +176,7 @@ TEST(Survey, PooledSurveyMatchesSequentialAndRestoresSites) {
   }
   EXPECT_EQ(pooled.render(), sequential.render());
 
-  // Workers held each site's lease and restored it exactly as found.
+  // Each assessment held its site's probe leases and left it as found.
   for (const site::Site* s : f.sites) {
     EXPECT_FALSE(s->vfs.exists("/home/user/probe")) << s->name;
     EXPECT_TRUE(s->loaded_modules().empty()) << s->name;

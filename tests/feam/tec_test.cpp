@@ -37,10 +37,7 @@ Migration migrate(const char* home_name, const char* target_name,
       toolchain::compile_mpi_program(*m.home, program, *stack, home_path);
   EXPECT_TRUE(compiled.ok()) << compiled.error();
 
-  const std::string module = std::string(site::mpi_impl_slug(impl)) + "/" +
-                             stack->version.str() + "-" +
-                             site::compiler_slug(fam);
-  m.home->load_module(module);
+  m.home->load_module(stack->module_name());
   auto source = run_source_phase(*m.home, home_path);
   EXPECT_TRUE(source.ok()) << source.error();
   m.source = std::move(source).take();

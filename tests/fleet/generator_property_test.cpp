@@ -71,6 +71,7 @@ TEST(FleetGenerator, ShapeAndArchetypeCoverage) {
 // sites.
 TEST(FleetGenerator, SurveyRoundTripRestoresEveryFingerprint) {
   Fleet fleet = generate_fleet(archetype_heavy_spec(), 99);
+  fleet.spec.drift_rate = 0;  // frozen: no drift rounds between surveys
 
   std::vector<std::uint64_t> before;
   before.reserve(fleet.sites.size());
@@ -78,9 +79,7 @@ TEST(FleetGenerator, SurveyRoundTripRestoresEveryFingerprint) {
     before.push_back(s->discovery_fingerprint());
   }
 
-  eval::FleetRunOptions options;
-  options.drift = false;
-  const auto result = eval::run_fleet(fleet, options);
+  const auto result = eval::run_fleet(fleet);
   ASSERT_EQ(result.pairs(), fleet.sites.size() * fleet.workloads.size());
   ASSERT_EQ(result.compile_failures, 0u);
 
@@ -95,8 +94,8 @@ TEST(FleetGenerator, SurveyRoundTripRestoresEveryFingerprint) {
 // same records produced, on both the cached and uncached paths.
 TEST(FleetGenerator, ConsecutiveSurveysAreBitStable) {
   Fleet fleet = generate_fleet(archetype_heavy_spec(), 7);
+  fleet.spec.drift_rate = 0;
   eval::FleetRunOptions options;
-  options.drift = false;
 
   const auto first = eval::run_fleet(fleet, options);
   const auto second = eval::run_fleet(fleet, options);

@@ -1,5 +1,6 @@
 // Site leases and the state counters the caches key on: mutual exclusion,
-// pair-lease ordering, generation bumps, and VFS write stamps.
+// acquisition order, wait recording, generation bumps, and VFS write
+// stamps.
 #include "site/lease.hpp"
 
 #include <gtest/gtest.h>
@@ -20,89 +21,6 @@ TEST(SiteLease, IdsAreDistinctPerSite) {
   auto a = toolchain::make_site("india");
   auto b = toolchain::make_site("fir");
   EXPECT_NE(a->lease_id(), b->lease_id());
-}
-
-TEST(SiteLease, MutuallyExcludesWorkers) {
-  auto s = toolchain::make_site("india");
-  std::atomic<int> inside{0};
-  std::atomic<bool> overlapped{false};
-  std::vector<std::thread> workers;
-  for (int t = 0; t < 4; ++t) {
-    workers.emplace_back([&] {
-      for (int i = 0; i < 500; ++i) {
-        SiteLease lease(*s);
-        if (inside.fetch_add(1, std::memory_order_acq_rel) != 0) {
-          overlapped.store(true, std::memory_order_relaxed);
-        }
-        inside.fetch_sub(1, std::memory_order_acq_rel);
-      }
-    });
-  }
-  for (auto& w : workers) w.join();
-  EXPECT_FALSE(overlapped.load());
-}
-
-TEST(SitePairLease, AcquiresInLeaseIdOrderFromEitherArgumentOrder) {
-  // Two threads repeatedly lock the same pair in opposite argument order.
-  // Without the lower-lease_id-first discipline this deadlocks; with it,
-  // the loop terminates.
-  auto a = toolchain::make_site("india");
-  auto b = toolchain::make_site("fir");
-  std::atomic<int> done{0};
-  std::thread t1([&] {
-    for (int i = 0; i < 500; ++i) {
-      SitePairLease lease(*a, *b);
-    }
-    done.fetch_add(1);
-  });
-  std::thread t2([&] {
-    for (int i = 0; i < 500; ++i) {
-      SitePairLease lease(*b, *a);
-    }
-    done.fetch_add(1);
-  });
-  t1.join();
-  t2.join();
-  EXPECT_EQ(done.load(), 2);
-}
-
-TEST(SiteLease, UncontendedAcquireRecordsZeroWait) {
-  auto s = toolchain::make_site("india");
-  const auto global_before = obs::histogram("lease.wait_ns").snapshot();
-  const auto site_before =
-      obs::histogram("lease.wait_ns", obs::Labels{.site = s->name}).snapshot();
-  { SiteLease lease(*s); }
-  const auto global_after = obs::histogram("lease.wait_ns").snapshot();
-  const auto site_after =
-      obs::histogram("lease.wait_ns", obs::Labels{.site = s->name}).snapshot();
-  // One sample lands in both histograms, and the fast path charges 0 wait.
-  EXPECT_EQ(global_after.count, global_before.count + 1);
-  EXPECT_EQ(site_after.count, site_before.count + 1);
-  EXPECT_EQ(global_after.sum, global_before.sum);
-  EXPECT_EQ(site_after.sum, site_before.sum);
-}
-
-TEST(SiteLease, ContendedAcquireRecordsTheBlockingWait) {
-  auto s = toolchain::make_site("india");
-  const auto before =
-      obs::histogram("lease.wait_ns", obs::Labels{.site = s->name}).snapshot();
-  std::atomic<bool> holder_ready{false};
-  std::thread holder([&] {
-    SiteLease lease(*s);
-    holder_ready.store(true, std::memory_order_release);
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  });
-  while (!holder_ready.load(std::memory_order_acquire)) {
-    std::this_thread::yield();
-  }
-  { SiteLease lease(*s); }  // blocks until the holder releases
-  holder.join();
-  const auto after =
-      obs::histogram("lease.wait_ns", obs::Labels{.site = s->name}).snapshot();
-  EXPECT_EQ(after.count, before.count + 2);
-  // The waiter blocked for most of the holder's 20ms sleep.
-  EXPECT_GE(after.sum - before.sum, 5'000'000u);
-  EXPECT_GE(after.max, 5'000'000u);
 }
 
 TEST(SiteState, GenerationBumpsOnEveryMutationKind) {
@@ -236,6 +154,46 @@ TEST(SubtreeLeases, OppositeArgumentOrdersDoNotDeadlock) {
   t1.join();
   t2.join();
   EXPECT_EQ(done.load(), 2);
+}
+
+TEST(SubtreeLeases, UncontendedAcquireRecordsZeroWait) {
+  auto s = toolchain::make_site("india");
+  const auto global_before = obs::histogram("lease.wait_ns").snapshot();
+  const auto site_before =
+      obs::histogram("lease.wait_ns", obs::Labels{.site = s->name}).snapshot();
+  { SubtreeLeases lease({{s.get(), "/home/user/job"}}); }
+  const auto global_after = obs::histogram("lease.wait_ns").snapshot();
+  const auto site_after =
+      obs::histogram("lease.wait_ns", obs::Labels{.site = s->name}).snapshot();
+  // One sample lands in both histograms, and the fast path charges 0 wait.
+  EXPECT_EQ(global_after.count, global_before.count + 1);
+  EXPECT_EQ(site_after.count, site_before.count + 1);
+  EXPECT_EQ(global_after.sum, global_before.sum);
+  EXPECT_EQ(site_after.sum, site_before.sum);
+}
+
+TEST(SubtreeLeases, ContendedAcquireRecordsTheBlockingWait) {
+  auto s = toolchain::make_site("india");
+  const auto before =
+      obs::histogram("lease.wait_ns", obs::Labels{.site = s->name}).snapshot();
+  std::atomic<bool> holder_ready{false};
+  std::thread holder([&] {
+    SubtreeLeases lease({{s.get(), "/home/user/job"}});
+    holder_ready.store(true, std::memory_order_release);
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  });
+  while (!holder_ready.load(std::memory_order_acquire)) {
+    std::this_thread::yield();
+  }
+  // Blocks until the holder releases.
+  { SubtreeLeases lease({{s.get(), "/home/user/job"}}); }
+  holder.join();
+  const auto after =
+      obs::histogram("lease.wait_ns", obs::Labels{.site = s->name}).snapshot();
+  EXPECT_EQ(after.count, before.count + 2);
+  // The waiter blocked for most of the holder's 20ms sleep.
+  EXPECT_GE(after.sum - before.sum, 5'000'000u);
+  EXPECT_GE(after.max, 5'000'000u);
 }
 
 TEST(SubtreeLeases, DuplicateSubtreesCollapseToOneAcquisition) {

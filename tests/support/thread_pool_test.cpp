@@ -1,13 +1,17 @@
-// ThreadPool: FIFO work queue, wait() barrier semantics, and exception
-// propagation — the substrate under the parallel migration engine.
+// ThreadPool: FIFO work queue, the caller as the last worker, wait()
+// barrier semantics, and exception propagation — the substrate under the
+// migration matrix, the survey and the fleet.
 #include "support/thread_pool.hpp"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <mutex>
+#include <set>
 #include <stdexcept>
 #include <thread>
+#include <vector>
 
 namespace feam::support {
 namespace {
@@ -29,6 +33,59 @@ TEST(ThreadPool, ClampsToAtLeastOneWorker) {
   EXPECT_EQ(negative.size(), 1);
   ThreadPool four(4);
   EXPECT_EQ(four.size(), 4);
+}
+
+TEST(ThreadPool, PoolOfOneRunsTasksInlineInSubmissionOrder) {
+  // A pool of one has no worker thread: submit() only queues, and wait()
+  // runs every task on the caller, first in first out — the sequential
+  // loop.
+  ThreadPool pool(1);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::atomic<int> started{0};
+  std::vector<int> order;
+  std::vector<std::thread::id> ran_on;
+  for (int i = 0; i < 16; ++i) {
+    pool.submit([&, i] {
+      started.fetch_add(1, std::memory_order_relaxed);
+      order.push_back(i);
+      ran_on.push_back(std::this_thread::get_id());
+    });
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  EXPECT_EQ(started.load(), 0);
+  pool.wait();
+  std::vector<int> expected;
+  for (int i = 0; i < 16; ++i) expected.push_back(i);
+  EXPECT_EQ(order, expected);
+  EXPECT_EQ(ran_on, std::vector<std::thread::id>(16, caller));
+}
+
+TEST(ThreadPool, NeverRunsMoreTasksAtOnceThanItsSize) {
+  // The caller of wait() counts toward the size: a pool of three runs
+  // tasks on two workers and the caller, never more than three at once.
+  ThreadPool pool(3);
+  std::atomic<int> running{0};
+  std::atomic<int> peak{0};
+  std::mutex threads_mutex;
+  std::set<std::thread::id> threads;
+  for (int i = 0; i < 64; ++i) {
+    pool.submit([&] {
+      const int now = running.fetch_add(1, std::memory_order_acq_rel) + 1;
+      int seen = peak.load(std::memory_order_relaxed);
+      while (now > seen && !peak.compare_exchange_weak(seen, now)) {
+      }
+      {
+        std::lock_guard<std::mutex> lock(threads_mutex);
+        threads.insert(std::this_thread::get_id());
+      }
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+      running.fetch_sub(1, std::memory_order_acq_rel);
+    });
+  }
+  pool.wait();
+  EXPECT_GE(peak.load(), 1);
+  EXPECT_LE(peak.load(), 3);
+  EXPECT_LE(threads.size(), 3u);
 }
 
 TEST(ThreadPool, WaitIsABarrier) {
