@@ -16,7 +16,7 @@
 //      goes quadratic in the record count.
 //   4. Determinism — a fresh fleet from the same (spec, seed), surveyed
 //      at a different job count, must reproduce the record stream byte
-//      for byte (drift included: rounds land at sequential barriers).
+//      for byte (drift included: rounds land at barriers between surveys).
 //   5. Drift sweep — the medium fleet at drift rates 0 / 0.25 / 1.0,
 //      each run cached and uncached on identical twin fleets. Byte
 //      equality of the two record streams at every rate is the

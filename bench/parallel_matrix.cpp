@@ -9,13 +9,15 @@
 // (BENCH_8.json). A speedup-vs-jobs sweep at 1/2/4/8 workers follows in
 // the same warm process.
 //
-// A third, sequential leg repeats the matrix with 5% Vfs fault injection
+// A third, sequential leg repeats the matrix with 0.2% Vfs fault injection
 // (the robustness claim): every pair must finish with a clean or io/parse
 // attribution, and every *unfaulted* pair must serialize record-for-record
 // identically to the fault-free sequential baseline — proof that faulted
-// computations never poison the caches. This leg runs with jobs=1 because
-// fault-count-delta attribution is exact only sequentially (parallel runs
-// can over-attribute shared-site faults, see ARCHITECTURE.md).
+// computations never poison the caches. The rate is per Vfs operation; at
+// 0.2% about half the pairs fault (440 clean / 354 io of 794), so both
+// checks have hundreds of pairs to look at, where 5% left none clean. This
+// leg runs with jobs=1 so those counts repeat exactly: which operations
+// fault depends on the order they reach each injector.
 //
 // A fourth, profiled leg reruns the pooled configuration with the span
 // collector and metric registry live (the contention-aware profiling
@@ -65,7 +67,7 @@
 //
 // Flags:
 //   --jobs N           worker threads for the pooled leg (default 4)
-//   --fault-rate R     Vfs fault probability for the faulted leg (default 0.05)
+//   --fault-rate R     Vfs fault probability for the faulted leg (default 0.002)
 //   --bench-out F      write the feam.bench/1 record to F
 //   --baseline F       gate the metrics against a feam.report_baseline/1 file
 //   --pr N             PR number stamped into the bench record (default 6)
@@ -176,7 +178,7 @@ bool write_file(const std::string& path, const std::string& content) {
 int main(int argc, char** argv) {
   int jobs = 4;
   int pr_number = 7;
-  double fault_rate = 0.05;
+  double fault_rate = 0.002;
   int timeseries_interval_ms = 25;
   std::string bench_out;
   std::string baseline_path;
@@ -361,11 +363,12 @@ int main(int argc, char** argv) {
       }
     }
   }
-  // With a positive rate over ~800 migrations some pairs must fault; all
+  // With a positive rate over ~800 migrations some pairs must fault and
+  // some must stay clean, or the baseline comparison checks nothing; all
   // attributions must be io/parse; no clean pair may drift from baseline.
   const bool fault_ok =
       clean_mismatches == 0 && unknown_attr == 0 &&
-      (fault_rate <= 0.0 || io_pairs + parse_pairs > 0);
+      (fault_rate <= 0.0 || (io_pairs + parse_pairs > 0 && clean_pairs > 0));
 
   // Leg 4 — profiled: the pooled configuration with the span collector
   // and metric registry live, against a fresh uninstrumented reference.

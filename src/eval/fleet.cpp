@@ -48,7 +48,8 @@ void fill_from_entry(report::RunRecord& record, SurveyEntry&& entry) {
 }  // namespace
 
 std::string FleetRunResult::records_jsonl() const {
-  return report::records_jsonl(records);
+  support::ThreadPool pool(jobs, obs::pool_task_recorder());
+  return report::records_jsonl(records, &pool);
 }
 
 std::string FleetRunResult::readiness_matrix() const {
@@ -60,6 +61,7 @@ std::string FleetRunResult::readiness_matrix() const {
 
 FleetRunResult run_fleet(fleet::Fleet& fleet, const FleetRunOptions& options) {
   FleetRunResult result;
+  result.jobs = options.jobs;
   std::optional<MigrationCaches> caches;
   if (options.use_caches) caches.emplace();
   MigrationCaches* cache_ptr = caches ? &*caches : nullptr;
@@ -71,8 +73,8 @@ FleetRunResult run_fleet(fleet::Fleet& fleet, const FleetRunOptions& options) {
   site::Site& anchor = fleet.anchor();
   const FeamConfig config{};
   result.records.reserve(fleet.workloads.size() * fleet.sites.size());
-  // One pool for every survey; the surveys are its only tasks, and this
-  // thread holds nothing thread-scoped while one runs.
+  // One pool for every survey and drift round, which are its only tasks;
+  // this thread holds nothing thread-scoped while one runs.
   support::ThreadPool pool(options.jobs, obs::pool_task_recorder());
 
   for (std::size_t w = 0; w < fleet.workloads.size(); ++w) {
@@ -126,10 +128,10 @@ FleetRunResult run_fleet(fleet::Fleet& fleet, const FleetRunOptions& options) {
       result.records.push_back(std::move(record));
     }
 
-    // Rolling upgrades land between sweeps — a sequential barrier point,
-    // so the drift schedule is independent of the survey's job count.
+    // Rolling upgrades land between sweeps — a barrier point, so the
+    // drift schedule is independent of the survey's job count.
     if (fleet.spec.drift_rate > 0 && w + 1 < fleet.workloads.size()) {
-      auto ops = fleet::apply_drift_round(fleet, static_cast<int>(w));
+      auto ops = fleet::apply_drift_round(fleet, static_cast<int>(w), &pool);
       result.drift_log.insert(result.drift_log.end(),
                               std::make_move_iterator(ops.begin()),
                               std::make_move_iterator(ops.end()));

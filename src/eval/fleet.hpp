@@ -2,13 +2,15 @@
 // the fleet's anchor site, runs the source phase once per workload, and
 // surveys the entire fleet with it — an N-site x M-workload readiness
 // matrix produced through the same survey/cache machinery migrations use.
-// Every survey of a run fans out on one pool of `FleetRunOptions::jobs`.
+// Every survey and every drift round of a run fans out on one pool of
+// `FleetRunOptions::jobs`, and records_jsonl() on a pool as large.
 //
 // Drift interleaving: when the spec enables rolling-upgrade drift, one
-// drift round is applied *between* per-workload surveys — a sequential
-// barrier point. Inside a survey, sites are only read (probe writes land
-// in scratch, which the discovery fingerprint excludes) and results land
-// in input-order slots, so the full matrix is byte-identical at any job
+// drift round is applied *between* per-workload surveys — a barrier
+// point, fanned out per site. Inside a survey, sites are only read (probe
+// writes land in scratch, which the discovery fingerprint excludes); a
+// round writes each site from one task; and both land results in
+// input-order slots, so the full matrix is byte-identical at any job
 // count even with drift on. Drifted sites change fingerprint, so the EDC
 // memo re-verifies them instead of serving a stale scan; the cached and
 // uncached runs of the same fleet therefore produce identical records —
@@ -26,7 +28,7 @@
 namespace feam::eval {
 
 struct FleetRunOptions {
-  // Size of the one pool every survey of the run fans out on.
+  // Size of the one pool all surveys and drift rounds of the run share.
   int jobs = 1;
   bool use_caches = true;
 };
@@ -57,10 +59,13 @@ struct FleetRunResult {
   FleetCacheStats caches;
   std::size_t ready_pairs = 0;
   std::size_t compile_failures = 0;
+  // The run's FleetRunOptions::jobs.
+  int jobs = 1;
 
   std::size_t pairs() const { return records.size(); }
   // Compact JSONL dump (one record per line) — the artifact `feam report`
-  // ingests and the byte-identity witness for determinism checks.
+  // ingests and the byte-identity witness for determinism checks. Written
+  // on a pool of `jobs`; the bytes are the same at any size.
   std::string records_jsonl() const;
   // The aggregated readiness matrix table (report pipeline rendering).
   std::string readiness_matrix() const;

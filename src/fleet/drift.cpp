@@ -1,9 +1,12 @@
 #include "fleet/drift.hpp"
 
+#include <iterator>
+#include <optional>
 #include <utility>
 
 #include "support/json.hpp"
 #include "support/rng.hpp"
+#include "support/thread_pool.hpp"
 #include "toolchain/packages.hpp"
 #include "toolchain/provision.hpp"
 
@@ -82,38 +85,59 @@ Action apply_one(Site& s, Rng& rng, int round) {
   }
 }
 
-}  // namespace
-
-std::vector<DriftOp> apply_drift_round(Fleet& fleet, int round) {
+// Site i's share of a round: its ops, drawn from its own stream.
+std::vector<DriftOp> drift_site(Fleet& fleet, std::size_t i, const Rng& base,
+                                int round) {
   std::vector<DriftOp> ops;
   const double rate = fleet.spec.drift_rate;
-  if (rate <= 0) return ops;
+  Site& s = *fleet.sites[i];
+  Rng rng = base.fork("site-" + std::to_string(i));
+  int count = static_cast<int>(rate);
+  if (rng.chance(rate - static_cast<double>(count))) ++count;
+  if (count == 0) return ops;
+  const bool container = fleet.traits[i].container;
+  if (container) {
+    // Image rebuild: lift the read-only layer, mutate, squash again.
+    s.vfs.unseal("/opt");
+    s.vfs.unseal("/usr");
+  }
+  ops.reserve(static_cast<std::size_t>(count));
+  for (int k = 0; k < count; ++k) {
+    auto [kind, detail] = apply_one(s, rng, round);
+    if (container) detail += " (image rebuild)";
+    ops.push_back({.site_index = static_cast<int>(i), .site = s.name,
+                   .kind = std::move(kind), .detail = std::move(detail),
+                   .round = round});
+  }
+  if (container) {
+    s.vfs.seal("/opt");
+    s.vfs.seal("/usr");
+  }
+  return ops;
+}
+
+}  // namespace
+
+std::vector<DriftOp> apply_drift_round(Fleet& fleet, int round,
+                                       support::ThreadPool* pool) {
+  std::vector<DriftOp> ops;
+  if (fleet.spec.drift_rate <= 0) return ops;
+  std::optional<support::ThreadPool> calling_thread;
+  support::ThreadPool& workers =
+      pool != nullptr ? *pool : calling_thread.emplace(1);
   const Rng base(support::fnv1a_mix(
       fleet.seed,
       support::fnv1a_mix(0x4452494654ull, static_cast<std::uint64_t>(round))));
+  // One slot per site, joined in site order: the log is the same at any
+  // pool size. Slot 0, the anchor, stays empty.
+  std::vector<std::vector<DriftOp>> slots(fleet.sites.size());
   for (std::size_t i = 1; i < fleet.sites.size(); ++i) {
-    Site& s = *fleet.sites[i];
-    Rng rng = base.fork("site-" + std::to_string(i));
-    int count = static_cast<int>(rate);
-    if (rng.chance(rate - static_cast<double>(count))) ++count;
-    if (count == 0) continue;
-    const bool container = fleet.traits[i].container;
-    if (container) {
-      // Image rebuild: lift the read-only layer, mutate, squash again.
-      s.vfs.unseal("/opt");
-      s.vfs.unseal("/usr");
-    }
-    for (int k = 0; k < count; ++k) {
-      auto [kind, detail] = apply_one(s, rng, round);
-      if (container) detail += " (image rebuild)";
-      ops.push_back({.site_index = static_cast<int>(i), .site = s.name,
-                     .kind = std::move(kind), .detail = std::move(detail),
-                     .round = round});
-    }
-    if (container) {
-      s.vfs.seal("/opt");
-      s.vfs.seal("/usr");
-    }
+    workers.submit([&, i] { slots[i] = drift_site(fleet, i, base, round); });
+  }
+  workers.wait();
+  for (auto& slot : slots) {
+    ops.insert(ops.end(), std::make_move_iterator(slot.begin()),
+               std::make_move_iterator(slot.end()));
   }
   return ops;
 }

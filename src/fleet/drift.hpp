@@ -14,8 +14,11 @@
 // Drift is schedule-deterministic: every draw comes from an Rng stream
 // derived from (fleet seed, round, site index), so the mutation sequence
 // is a pure function of the fleet — independent of thread count or
-// timing. The fleet driver applies rounds at sequential barrier points
-// (between per-workload surveys), which keeps the whole readiness matrix
+// timing. A round touches each site's own Vfs and nothing else of another
+// site (the blob interner it writes through is thread-safe), so its sites
+// fan out on a pool, one task per site, and their ops are logged in site
+// order. The fleet driver applies rounds at barrier points between
+// per-workload surveys, which keeps the whole readiness matrix
 // byte-identical at any job count even with drift enabled.
 #pragma once
 
@@ -24,6 +27,10 @@
 #include <vector>
 
 #include "fleet/generate.hpp"
+
+namespace feam::support {
+class ThreadPool;  // support/thread_pool.hpp
+}
 
 namespace feam::fleet {
 
@@ -43,8 +50,12 @@ struct DriftOp {
 
 // Applies drift round `round` to every non-anchor site at the spec's
 // drift_rate (expected mutations per site per round). Returns the ops
-// actually applied, in site order. No-op when drift_rate is 0.
-std::vector<DriftOp> apply_drift_round(Fleet& fleet, int round);
+// actually applied, in site order, at any pool size. No-op when drift_rate
+// is 0. Each site's ops run as one task on `pool` (nullptr = the calling
+// thread); the calling thread runs tasks too, so it must hold no shell
+// session, lease, fault witness or provenance scope (thread_pool.hpp).
+std::vector<DriftOp> apply_drift_round(Fleet& fleet, int round,
+                                       support::ThreadPool* pool = nullptr);
 
 // One feam.drift_log/1 JSON line per op — the artifact `feam diff` joins
 // against run-record streams to attribute verdict flips to drift.

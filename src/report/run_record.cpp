@@ -1,7 +1,10 @@
 #include "report/run_record.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <unordered_map>
+
+#include "support/thread_pool.hpp"
 
 namespace feam::report {
 
@@ -331,12 +334,37 @@ RunRecord assemble_run_record(const RunContext& context,
   return r;
 }
 
-std::string records_jsonl(std::span<const RunRecord> records) {
+std::string records_jsonl(std::span<const RunRecord> records,
+                          support::ThreadPool* pool) {
+  std::optional<support::ThreadPool> calling_thread;
+  support::ThreadPool& workers =
+      pool != nullptr ? *pool : calling_thread.emplace(1);
+  std::vector<std::string> chunks(
+      (records.size() + kRecordsPerChunk - 1) / kRecordsPerChunk);
+  for (std::size_t c = 0; c < chunks.size(); ++c) {
+    workers.submit([&, c] {
+      // Written locally and moved in once: neighbouring slots share a cache
+      // line, and appending to a slot in place would bounce it between
+      // workers on every token (4 threads then ran 3x the CPU of one).
+      std::string text;
+      support::JsonWriter w(text);
+      const std::size_t first = c * kRecordsPerChunk;
+      for (const auto& record : records.subspan(
+               first, std::min(kRecordsPerChunk, records.size() - first))) {
+        record.write_json(w);
+        text += '\n';
+      }
+      chunks[c] = std::move(text);
+    });
+  }
+  workers.wait();
+  std::size_t total = 0;
+  for (const auto& chunk : chunks) total += chunk.size();
   std::string out;
-  support::JsonWriter w(out);
-  for (const auto& record : records) {
-    record.write_json(w);
-    out += '\n';
+  out.reserve(total);
+  for (auto& chunk : chunks) {
+    out += chunk;
+    std::string().swap(chunk);  // release as the join goes
   }
   return out;
 }

@@ -8,6 +8,7 @@
 // each phase takes across runs.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <optional>
@@ -20,6 +21,10 @@
 #include "obs/profile.hpp"
 #include "obs/trace.hpp"
 #include "support/json.hpp"
+
+namespace feam::support {
+class ThreadPool;  // support/thread_pool.hpp
+}
 
 namespace feam::report {
 
@@ -121,8 +126,13 @@ RunRecord assemble_run_record(const RunContext& context,
                               const obs::Registry& registry, int exit_code);
 
 // Compact JSONL, one record per line: the stream `feam report` ingests and
-// the byte-identity witness of determinism checks.
-std::string records_jsonl(std::span<const RunRecord> records);
+// the byte-identity witness of determinism checks. Runs of
+// kRecordsPerChunk records are written as tasks on `pool` (nullptr = the
+// calling thread) and joined in input order, so the bytes are the same at
+// any pool size.
+inline constexpr std::size_t kRecordsPerChunk = 128;
+std::string records_jsonl(std::span<const RunRecord> records,
+                          support::ThreadPool* pool = nullptr);
 
 // The record's span tree as profiling input (for rebuilding the profile
 // or its flame tree from a deserialized record).

@@ -1,16 +1,19 @@
 // The rolling-upgrade drift model: schedule determinism, fingerprint
 // invalidation (every drift op is a system-path mutation, so the EDC memo
-// can never serve a drifted site a stale scan), anchor exemption, and
-// container unseal/mutate/reseal round-trips.
+// can never serve a drifted site a stale scan), anchor exemption,
+// container unseal/mutate/reseal round-trips, and pooled rounds.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "fleet/drift.hpp"
 #include "fleet/generate.hpp"
 #include "fleet/spec.hpp"
+#include "support/thread_pool.hpp"
 
 namespace feam::fleet {
 namespace {
@@ -101,6 +104,43 @@ TEST(FleetDrift, ContainerSitesAreResealedAfterAnImageRebuild) {
   EXPECT_TRUE(saw_container_drift)
       << "spec with container_rate=0.5 and 4 rounds should drift at "
          "least one container site";
+}
+
+// A round fanned out per site on a pool leaves every site as the calling
+// thread's round does and logs the same ops in the same order.
+TEST(FleetDrift, PooledRoundMatchesSequentialRound) {
+  FleetSpec spec = drifty_spec();
+  spec.sites = 16;
+  Fleet sequential = generate_fleet(spec, 42);
+  Fleet pooled = generate_fleet(spec, 42);
+  support::ThreadPool pool(4);
+
+  std::vector<DriftOp> sequential_ops, pooled_ops;
+  for (int round = 0; round < 4; ++round) {
+    const auto expected = apply_drift_round(sequential, round);
+    sequential_ops.insert(sequential_ops.end(), expected.begin(),
+                          expected.end());
+    const auto ops = apply_drift_round(pooled, round, &pool);
+    EXPECT_TRUE(std::is_sorted(ops.begin(), ops.end(),
+                               [](const DriftOp& a, const DriftOp& b) {
+                                 return a.site_index < b.site_index;
+                               }))
+        << "round " << round << " must log its ops in site order";
+    pooled_ops.insert(pooled_ops.end(), ops.begin(), ops.end());
+  }
+  ASSERT_FALSE(sequential_ops.empty());
+  EXPECT_EQ(drift_log_jsonl(pooled_ops), drift_log_jsonl(sequential_ops));
+
+  bool saw_container = false;
+  ASSERT_EQ(pooled.sites.size(), sequential.sites.size());
+  for (std::size_t i = 0; i < pooled.sites.size(); ++i) {
+    const auto& s = *sequential.sites[i];
+    const auto& p = *pooled.sites[i];
+    saw_container = saw_container || pooled.traits[i].container;
+    EXPECT_EQ(p.discovery_fingerprint(), s.discovery_fingerprint()) << s.name;
+    EXPECT_EQ(p.vfs.sealed_prefixes(), s.vfs.sealed_prefixes()) << s.name;
+  }
+  EXPECT_TRUE(saw_container) << "the reseal path must run in this test";
 }
 
 TEST(FleetDrift, ZeroRateIsANoOp) {

@@ -1,15 +1,16 @@
 // The fleet pipeline's determinism guarantee, with drift switched ON:
-// the same (spec, seed) reproduces a byte-identical fleet manifest and a
-// byte-identical readiness matrix at every job count. Drift rounds land
-// at sequential barrier points between per-workload surveys, so the
-// mutation schedule — and therefore every record — is independent of the
-// survey's thread count. Registered in ctest next to the existing
+// the same (spec, seed) reproduces a byte-identical fleet manifest, drift
+// log and readiness matrix at every job count. Drift rounds land at
+// barrier points between per-workload surveys and fan out per site, so
+// the mutation schedule — and therefore every record — is independent of
+// the pool's thread count. Registered in ctest next to the existing
 // parallel-determinism suites.
 #include <gtest/gtest.h>
 
 #include <string>
 
 #include "eval/fleet.hpp"
+#include "fleet/drift.hpp"
 #include "fleet/generate.hpp"
 #include "fleet/manifest.hpp"
 #include "fleet/spec.hpp"
@@ -21,6 +22,7 @@ struct FleetRun {
   std::string manifest;
   std::string records;
   std::string matrix;
+  std::string drift_log;
   std::size_t drift_ops = 0;
 };
 
@@ -44,6 +46,7 @@ FleetRun run_once(int jobs, bool use_caches) {
   const auto result = eval::run_fleet(fleet, options);
   out.records = result.records_jsonl();
   out.matrix = result.readiness_matrix();
+  out.drift_log = drift_log_jsonl(result.drift_log);
   out.drift_ops = result.drift_log.size();
   return out;
 }
@@ -58,7 +61,7 @@ TEST(FleetDeterminism, ManifestAndMatrixIdenticalAtEveryJobCount) {
     EXPECT_EQ(pooled.manifest, jobs1.manifest) << "jobs=" << jobs;
     EXPECT_EQ(pooled.records, jobs1.records) << "jobs=" << jobs;
     EXPECT_EQ(pooled.matrix, jobs1.matrix) << "jobs=" << jobs;
-    EXPECT_EQ(pooled.drift_ops, jobs1.drift_ops) << "jobs=" << jobs;
+    EXPECT_EQ(pooled.drift_log, jobs1.drift_log) << "jobs=" << jobs;
   }
 
   // The memoization layer is transparent even while sites drift under
@@ -68,6 +71,7 @@ TEST(FleetDeterminism, ManifestAndMatrixIdenticalAtEveryJobCount) {
   const FleetRun uncached = run_once(1, false);
   EXPECT_EQ(uncached.records, jobs1.records);
   EXPECT_EQ(uncached.matrix, jobs1.matrix);
+  EXPECT_EQ(uncached.drift_log, jobs1.drift_log);
 }
 
 }  // namespace

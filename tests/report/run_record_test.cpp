@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
+#include <string>
+#include <vector>
+
 #include "eval/experiment.hpp"
 #include "eval/fleet.hpp"
 #include "eval/run_records.hpp"
@@ -13,6 +17,7 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "support/json.hpp"
+#include "support/thread_pool.hpp"
 #include "toolchain/linker.hpp"
 #include "toolchain/testbed.hpp"
 
@@ -124,19 +129,26 @@ TEST_F(RunRecordLive, TargetPhaseAssemblesAValidRecord) {
   EXPECT_EQ(back->bundle_bytes, 4096u);
 }
 
+// One tree dump per line: the stream records_jsonl must reproduce.
+std::string tree_jsonl(std::span<const RunRecord> records) {
+  std::string out;
+  for (const auto& record : records) {
+    out += record.to_json().dump();
+    out += '\n';
+  }
+  return out;
+}
+
 // The streamed record equals the tree's dump, line by line and as JSONL.
 void expect_streams_as_tree(const std::vector<RunRecord>& records) {
-  std::string expected;
   for (const auto& record : records) {
     std::string line;
     support::JsonWriter w(line);
     record.write_json(w);
     EXPECT_EQ(line, record.to_json().dump())
         << record.binary << " @ " << record.target_site;
-    expected += record.to_json().dump();
-    expected += '\n';
   }
-  EXPECT_EQ(records_jsonl(records), expected);
+  EXPECT_EQ(records_jsonl(records), tree_jsonl(records));
 }
 
 TEST(RunRecordTest, WriteJsonMatchesTheTreeOnDriftedFleetRecords) {
@@ -151,6 +163,41 @@ TEST(RunRecordTest, WriteJsonMatchesTheTreeOnDriftedFleetRecords) {
   ASSERT_FALSE(result.drift_log.empty());
   expect_streams_as_tree(result.records);
   EXPECT_EQ(result.records_jsonl(), records_jsonl(result.records));
+}
+
+// Chunks written on a pool join into the single writer's stream, at
+// record counts on and around chunk boundaries. Every (workload, site)
+// record is a distinct line, so a chunk joined out of place shows.
+TEST(RunRecordTest, PooledRecordsJsonlMatchesSequential) {
+  fleet::FleetSpec spec;
+  spec.name = "chunks";
+  spec.sites = 20;
+  spec.workloads = 20;
+  spec.drift_rate = 1.0;
+  fleet::Fleet fleet = fleet::generate_fleet(spec, 20130613);
+  eval::FleetRunOptions options;
+  options.jobs = 4;
+  const auto result = eval::run_fleet(fleet, options);
+  const std::vector<RunRecord>& records = result.records;
+  ASSERT_GT(records.size(), 3 * kRecordsPerChunk);
+  ASSERT_NE(records.size() % kRecordsPerChunk, 0u);
+  for (const auto& record : records) {
+    ASSERT_FALSE(record.provenance.empty())
+        << record.binary << " @ " << record.target_site;
+  }
+  EXPECT_EQ(result.records_jsonl(), tree_jsonl(records));
+
+  for (const std::size_t count :
+       {std::size_t{0}, std::size_t{1}, kRecordsPerChunk - 1, kRecordsPerChunk,
+        kRecordsPerChunk + 1, records.size()}) {
+    const std::span<const RunRecord> prefix(records.data(), count);
+    const std::string expected = tree_jsonl(prefix);
+    for (const int threads : {1, 2, 4}) {
+      support::ThreadPool pool(threads);
+      EXPECT_EQ(records_jsonl(prefix, &pool), expected)
+          << count << " records, pool of " << threads;
+    }
+  }
 }
 
 TEST(RunRecordTest, WriteJsonMatchesTheTreeOnPaperRecords) {
