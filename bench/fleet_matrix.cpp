@@ -31,13 +31,19 @@
 //      record-size overhead versus the provenance-stripped stream.
 //   7. Memory — the process peak RSS over all legs, gated by a ceiling.
 //
+// Every leg's condition is a pin or bound in bench/fleet_baseline.json,
+// and --baseline decides the exit status: 1 when the gate fails. Without
+// --baseline the bench prints its legs and exits 0, like every other
+// bench binary.
+//
 // Flags:
 //   --sites N / --workloads N   big-leg fleet shape (default 500x100)
 //   --medium-sites N / --medium-workloads N   drift-sweep shape (50x20)
 //   --seed N          master seed (default 42)
 //   --jobs N          survey worker threads for the big leg (default 8)
 //   --bench-out F     write the feam.bench/1 record to F
-//   --baseline F      gate against a feam.report_baseline/1 file
+//   --baseline F      gate against a feam.report_baseline/1 file; the
+//                     gate's verdict is the exit status
 //   --pr N            PR number stamped into the bench record (default 10)
 #include <chrono>
 #include <cstdio>
@@ -352,18 +358,5 @@ int main(int argc, char** argv) {
       return 1;
     }
   }
-
-  bool sweep_ok = true;
-  for (const auto& leg : sweep) sweep_ok = sweep_ok && leg.identical;
-  const bool prov_ok =
-      prov_diff.unattributed_flips() == 0 && prov_coverage == 1.0;
-  const bool pass = manifest_identical && records_identical && sweep_ok &&
-                    prov_ok && big.compile_failures == 0 &&
-                    (gate_ptr == nullptr || gate.pass);
-  std::printf(
-      "Acceptance (manifest and record stream reproducible from (spec, "
-      "seed), no compile failures, cached==uncached at every drift rate, "
-      "every drift flip attributed): %s\n",
-      pass ? "PASS" : "FAIL");
-  return pass ? 0 : 1;
+  return gate_ptr == nullptr || gate.pass ? 0 : 1;
 }

@@ -18,12 +18,17 @@ feam.timeseries/1 contract:
     footprints), and no consistency issues,
   * follow mode tails a file while another feam process is still writing
     it and exits 0 on the final sample,
+  * `feam report --baseline` gates trend.* metrics read off the stream:
+    a satisfiable baseline exits 0, an impossible bound exits 2, and an
+    unknown selector or a directory with no stream exits 1 naming the
+    metric,
   * a non-timeseries input produces a diagnostic naming --timeseries-out.
 
 Usage: check_timeseries.py /path/to/feam
 """
 
 import json
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -226,6 +231,51 @@ def check_follow_mode(feam, binary, bundle, tmp):
                  f"banner:\n{out[-500:]}")
 
 
+def check_trend_gate(feam, stream, binary, bundle, tmp):
+    """Trend metrics are ordinary baseline metrics: `feam report
+    --baseline` reads each trend.* name the baseline lists off the
+    stream in its --in directory, then gates them with everything else."""
+    with_stream = tmp / "trend"
+    with_stream.mkdir()
+    shutil.copy(stream, with_stream / "survey.jsonl")
+    without_stream = tmp / "trend-records"
+    without_stream.mkdir()
+    run([feam, "survey", "--binary", binary, "--bundle", bundle,
+         "--run-record-out", without_stream / "survey.json"])
+    baseline = tmp / "trend_baseline.json"
+
+    def report(directory, metrics, ok_codes):
+        baseline.write_text(json.dumps(
+            {"schema": "feam.report_baseline/1", "metrics": metrics}))
+        return run([feam, "report", "--in", directory, "--baseline",
+                    baseline, "--gate"], ok_codes=ok_codes)
+
+    bounds = {"trend.steady_samples": {"min": 1},
+              "trend.hitrate.cache.late": {"min": 0, "max": 1}}
+    res = report(with_stream, bounds, (0,))
+    if "ok   trend.steady_samples" not in res.stdout or \
+            "ok   trend.hitrate.cache.late" not in res.stdout:
+        sys.exit(f"FAIL: trend metrics missing from the gate:\n"
+                 f"{res.stdout}")
+    res = report(with_stream,
+                 dict(bounds, **{"trend.hitrate.cache.late": {"min": 2}}),
+                 (2,))
+    if "FAIL trend.hitrate.cache.late" not in res.stdout:
+        sys.exit(f"FAIL: an impossible trend bound did not fail by "
+                 f"name:\n{res.stdout}")
+    res = report(with_stream,
+                 dict(bounds, **{"trend.bogus.p99.drift": {"max": 1}}),
+                 (1,))
+    if "trend.bogus.p99.drift" not in res.stderr:
+        sys.exit(f"FAIL: an unknown trend selector is not named:\n"
+                 f"{res.stderr}")
+    res = report(without_stream, bounds, (1,))
+    if not any(name in res.stderr for name in bounds) or \
+            "--timeseries-out" not in res.stderr:
+        sys.exit(f"FAIL: a trend baseline over a directory with no stream "
+                 f"does not name the metric:\n{res.stderr}")
+
+
 def main():
     if len(sys.argv) != 2:
         sys.exit(f"usage: {sys.argv[0]} /path/to/feam")
@@ -261,6 +311,7 @@ def main():
         compared = check_against_registry(totals, metrics_file)
         phases, caches = check_top_once(feam, stream)
         check_follow_mode(feam, binary, bundle, tmp)
+        check_trend_gate(feam, stream, binary, bundle, tmp)
 
         # Not-a-timeseries input -> diagnostic pointing at --timeseries-out.
         bogus = tmp / "bogus.jsonl"
@@ -275,8 +326,8 @@ def main():
               f"totals, {compared} counters match the registry snapshot, "
               f"{len(gauges)} gauges well-formed (incl. RSS), "
               f"top --once saw {phases} phases + caches {caches} + a "
-              f"memory panel, and follow mode tailed a live writer to a "
-              f"clean exit")
+              f"memory panel, follow mode tailed a live writer to a "
+              f"clean exit, and the baseline gate judged trend metrics")
 
 
 if __name__ == "__main__":

@@ -663,6 +663,27 @@ int fleet_command(const Options& opts, report::RunContext& ctx) {
   return result.compile_failures == 0 ? 0 : 1;
 }
 
+// Appends every record of a feam.run_record/1 JSONL text (one record per
+// line, as `feam fleet --records-out` writes them); false, with the
+// offending line named, on the first malformed one.
+bool read_record_lines(const std::string& label, const std::string& text,
+                       std::vector<report::RunRecord>& records) {
+  std::size_t line_no = 0;
+  for (const auto& line : support::split(text, '\n')) {
+    ++line_no;
+    if (line.empty()) continue;
+    const auto doc = support::Json::parse(line);
+    auto record = doc ? report::RunRecord::from_json(*doc) : std::nullopt;
+    if (!record) {
+      std::fprintf(stderr, "feam: %s:%zu: malformed run record\n",
+                   label.c_str(), line_no);
+      return false;
+    }
+    records.push_back(std::move(*record));
+  }
+  return true;
+}
+
 // Loads a feam.run_record/1 stream: a JSONL file (one record per line), a
 // single *.json record, or a directory of either (non-record files are
 // skipped, the way `feam report` skips them).
@@ -672,20 +693,7 @@ bool load_record_stream(const std::string& path,
   const auto ingest_text = [&](const std::string& label,
                                const std::string& text, bool strict) {
     if (looks_like_record_jsonl(text)) {
-      std::size_t line_no = 0;
-      for (const auto& line : support::split(text, '\n')) {
-        ++line_no;
-        if (line.empty()) continue;
-        const auto doc = support::Json::parse(line);
-        auto record = doc ? report::RunRecord::from_json(*doc) : std::nullopt;
-        if (!record) {
-          std::fprintf(stderr, "feam: %s:%zu: malformed run record\n",
-                       label.c_str(), line_no);
-          return false;
-        }
-        records.push_back(std::move(*record));
-      }
-      return true;
+      return read_record_lines(label, text, records);
     }
     const auto parsed = support::Json::parse(text);
     auto record =
@@ -860,23 +868,7 @@ int report_command(const Options& opts) {
       } else if (looks_like_record_jsonl(text)) {
         // A fleet's 50k-pair record stream ships as one JSONL file, not
         // 50k *.json files; ingest it line by line.
-        std::size_t line_no = 0;
-        bool bad = false;
-        for (const auto& line : support::split(text, '\n')) {
-          ++line_no;
-          if (line.empty()) continue;
-          const auto doc = support::Json::parse(line);
-          auto record = doc ? report::RunRecord::from_json(*doc)
-                            : std::nullopt;
-          if (!record) {
-            std::fprintf(stderr, "feam: %s:%zu: malformed run record\n",
-                         path.string().c_str(), line_no);
-            bad = true;
-            break;
-          }
-          records.push_back(std::move(*record));
-        }
-        if (bad) return 1;
+        if (!read_record_lines(path.string(), text, records)) return 1;
       } else {
         event_logs.push_back(std::move(text));
       }
@@ -933,7 +925,7 @@ int report_command(const Options& opts) {
     std::printf("(%zu non-record JSON files skipped)\n", skipped);
   }
 
-  // Charts and the trend gate read one stream; with several in the
+  // Charts and trend metrics read one stream; with several in the
   // directory, the one with the most samples (the longest-observed run)
   // carries the most signal.
   const report::Timeseries* timeseries = nullptr;
@@ -1008,6 +1000,29 @@ int report_command(const Options& opts) {
                    opts.baseline.c_str());
       return 1;
     }
+    // The steady state is gated like the totals: each trend.* name the
+    // baseline lists is read off the charted stream into the same map.
+    for (const auto& [name, spec] : (*baseline)["metrics"].as_object()) {
+      if (name.rfind("trend.", 0) != 0) continue;
+      if (timeseries == nullptr) {
+        std::fprintf(stderr,
+                     "feam: baseline metric '%s' needs a feam.timeseries/1 "
+                     "stream under %s; run the workload with "
+                     "--timeseries-out FILE.jsonl into that directory\n",
+                     name.c_str(), opts.report_in.c_str());
+        return 1;
+      }
+      const auto value = report::trend_metric(*timeseries, name);
+      if (!value) {
+        std::fprintf(stderr,
+                     "feam: baseline metric '%s' is not a trend metric "
+                     "(trend.steady_samples or "
+                     "trend.SELECTOR.early|late|drift)\n",
+                     name.c_str());
+        return 1;
+      }
+      metrics[name] = *value;
+    }
     auto gated = report::run_gate(metrics, *baseline);
     if (!gated.ok()) {
       std::fprintf(stderr, "feam: %s\n", gated.error().c_str());
@@ -1016,41 +1031,6 @@ int report_command(const Options& opts) {
     gate_storage = std::move(gated).take();
     gate_result = &gate_storage;
     std::printf("\n%s", gate_storage.render().c_str());
-  }
-
-  bool trend_pass = true;
-  if (!opts.trend_baseline.empty()) {
-    if (timeseries == nullptr) {
-      std::fprintf(stderr,
-                   "feam: --trend-baseline given but no feam.timeseries/1 "
-                   "stream under %s; run the workload with --timeseries-out "
-                   "FILE.jsonl into that directory\n",
-                   opts.report_in.c_str());
-      return 1;
-    }
-    const auto baseline_bytes = read_host_file(opts.trend_baseline);
-    if (!baseline_bytes) {
-      std::fprintf(stderr, "feam: cannot read %s\n",
-                   opts.trend_baseline.c_str());
-      return 1;
-    }
-    const auto baseline = support::Json::parse(
-        std::string(baseline_bytes->begin(), baseline_bytes->end()));
-    if (!baseline) {
-      std::fprintf(stderr, "feam: %s is not valid JSON\n",
-                   opts.trend_baseline.c_str());
-      return 1;
-    }
-    auto trended = report::run_trend_gate(*timeseries, *baseline);
-    if (!trended.ok()) {
-      std::fprintf(stderr, "feam: %s\n", trended.error().c_str());
-      return 1;
-    }
-    trend_pass = trended.value().pass;
-    std::printf("\n%s", trended.value().render().c_str());
-    for (const auto& [name, value] : report::trend_metrics(trended.value())) {
-      metrics[name] = value;
-    }
   }
 
   if (!opts.bench_out.empty()) {
@@ -1064,7 +1044,6 @@ int report_command(const Options& opts) {
   }
 
   if (opts.gate && gate_result != nullptr && !gate_result->pass) return 2;
-  if (opts.gate && !trend_pass) return 2;
   return 0;
 }
 

@@ -73,7 +73,7 @@ usage:
       churn panel); -o writes the text rendering to a file.
 
   feam report --in DIR [--html FILE] [--baseline FILE [--gate]]
-              [--trend-baseline FILE] [--bench-out FILE] [--pr N]
+              [--bench-out FILE] [--pr N]
       Aggregate every *.json run record (written by --run-record-out) and
       *.jsonl event log under DIR: print the readiness matrix with
       per-determinant failure attribution, merged latency percentiles, and
@@ -82,12 +82,12 @@ usage:
       the --html dashboard gain over-run-time charts (cache hit rates,
       phase p99). --html writes a self-contained dashboard. With
       --baseline and --gate, flattened metrics are diffed against the
-      per-metric tolerances in FILE and the command exits 2 on regression;
-      --trend-baseline FILE additionally compares the early and late
-      steady-state windows of the ingested timeseries (feam.trend_baseline/1
-      schema) so slow drift over a run fails the gate even when end-of-run
-      totals look healthy. --bench-out records the measured metrics, trend
-      metrics, and gate outcome.
+      per-metric tolerances in FILE and the command exits 2 on regression.
+      Baseline names of the form trend.SELECTOR.early|late|drift and
+      trend.steady_samples are read off the ingested timeseries: the
+      early and late halves of its steady state, so slow drift over a run
+      fails the gate even when end-of-run totals look healthy.
+      --bench-out records the measured metrics and gate outcome.
 
   feam profile --in FILE [--folded FILE] [--svg FILE] [--memory]
       Post-process one trace (--trace-out Chrome JSON) or run record
@@ -319,7 +319,6 @@ std::optional<Options> parse_options(const std::vector<std::string>& args,
         return std::nullopt;
       }
     }
-    else if (flag == "--trend-baseline") opts.trend_baseline = *v;
     else if (flag == "--in") {
       // Shared by `report` (records directory) and `profile` (one file).
       opts.report_in = *v;
@@ -385,9 +384,8 @@ std::optional<Options> parse_options(const std::vector<std::string>& args,
       break;
     case Command::kReport:
       ok = require(!opts.report_in.empty(), "report: --in is required") &&
-           require(!opts.gate ||
-                       !opts.baseline.empty() || !opts.trend_baseline.empty(),
-                   "report: --gate requires --baseline or --trend-baseline");
+           require(!opts.gate || !opts.baseline.empty(),
+                   "report: --gate requires --baseline");
       break;
     case Command::kExplain:
       ok = require(!opts.report_in.empty(), "explain: --in is required") &&

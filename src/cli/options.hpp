@@ -49,8 +49,7 @@ struct Options {
   std::string report_in;    // directory of *.json run records / *.jsonl logs
   std::string html_out;     // self-contained HTML dashboard output path
   std::string baseline;     // feam.report_baseline/1 file for --gate
-  std::string trend_baseline;  // feam.trend_baseline/1 file for --gate
-  bool gate = false;        // apply the baseline(s) as a regression gate
+  bool gate = false;        // apply the baseline as a regression gate
   std::string bench_out;    // feam.bench/1 trajectory record output path
   int pr_number = 0;        // --pr N, recorded in the bench output
   // `feam survey` / `feam fleet`: worker threads assessing sites

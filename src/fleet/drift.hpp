@@ -1,5 +1,5 @@
 // Rolling-upgrade drift: seeded mutations of live site state between
-// queries, exercising discovery_fingerprint()/state_generation()
+// queries, exercising discovery_fingerprint() and Vfs-generation
 // invalidation at fleet scale.
 //
 // A drift round walks every generated site (the anchor is exempt — the

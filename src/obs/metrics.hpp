@@ -57,7 +57,7 @@ class Counter {
 // (lease.wait_ns), so `sum over labels == unlabeled total` is a checkable
 // invariant of the stream. The memo families have no unlabeled twin:
 // cache.hits/cache.misses exist only per {cache, site}, consumers sum
-// over labels (the trend gate's `hitrate.cache`), and each memo's
+// over labels (the `trend.hitrate.cache.*` metrics), and each memo's
 // hits()/misses() equal those sums.
 struct Labels {
   std::string_view site{};

@@ -1,7 +1,7 @@
 // Reader side of the `feam.timeseries/1` stream (see obs/timeseries.hpp
 // for the producer and the line schema): parsing, incremental tailing,
 // windowed aggregation, and the delta/total consistency check. Pure
-// data-in/data-out — `feam top`, `feam report`, the trend gate, and the
+// data-in/data-out — `feam top`, `feam report`, trend metrics, and the
 // bench's sampled leg all consume streams through this one module.
 #pragma once
 

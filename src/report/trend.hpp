@@ -1,19 +1,24 @@
-// The trend gate: regression detection over a run's *steady state*, not
-// just its endpoint totals. A timeseries stream is split into warmup +
-// steady windows, the steady windows into an early and a late group, and
-// each baseline metric is evaluated on both groups — so slow drift (p99
-// creeping up, a hit rate decaying as the run ages) fails CI even when
-// the whole-run aggregates still look healthy.
+// Trend metrics: regression detection over a run's *steady state*, not
+// just its endpoint totals. A timeseries stream's steady span splits into
+// an early and a late half, and each selector is evaluated on both — so
+// slow drift (p99 creeping up, a hit rate decaying as the run ages) fails
+// CI even when the whole-run aggregates still look healthy.
 //
-// Baseline schema (feam.trend_baseline/1):
-//   {"schema": "feam.trend_baseline/1",
-//    "steady_state": {"skip_head_fraction": 0.25, "min_samples": 8},
-//    "metrics": {
-//      "hist.phase.target_ns.p99":  {"max_drift": 1.0},
-//      "hitrate.cache":             {"max_drop": 0.2, "min_late": 0.4},
-//      "rate.phase.target_runs":    {"max_drop": 0.5}}}
+// Trend metrics are ordinary gate metrics: a feam.report_baseline/1
+// document bounds them like any other (see report/gate.hpp), and
+// `feam report --baseline` reads each `trend.*` name the baseline lists
+// off the ingested stream before its one run_gate call:
+//   "trend.steady_samples":                 {"min": 8},
+//   "trend.hist.phase.target_ns.p99.drift": {"max": 3.0},
+//   "trend.hitrate.cache.drift":            {"min": -0.5},
+//   "trend.hitrate.cache.late":             {"min": 0.3}
 //
-// Metric selectors (evaluated over a group of sample windows):
+// Names:
+//   trend.steady_samples         — samples in the steady span
+//   trend.<selector>.early|late  — the selector over each half
+//   trend.<selector>.drift       — signed (late-early)/early; 0 when
+//                                  early == 0
+// Selectors:
 //   hist.<series>.<p50|p90|p99|mean|count> — merged histogram deltas
 //   rate.<series>                          — counter deltas per second
 //   gauge.<series>.<mean|max|last>         — gauge level over the window's
@@ -23,55 +28,30 @@
 //     series' base name is <prefix>.hits|.misses, summed across label
 //     values (so `hitrate.cache` rolls up the whole dimensional
 //     cache.hits/cache.misses family)
-// Spec keys:
-//   max_drift — larger-is-worse: (late-early)/early must not exceed it
-//   max_drop  — larger-is-better: (early-late)/early must not exceed it
-//   min_late / max_late — absolute bounds on the late-group value
-// A stream with fewer than min_samples steady windows passes vacuously
-// (each check reports "skipped"): short smoke runs should not flake, and
-// the bench's sampled leg guarantees a long-enough stream where it
-// matters.
 #pragma once
 
-#include <map>
-#include <string>
-#include <vector>
+#include <cstddef>
+#include <optional>
+#include <string_view>
 
 #include "report/timeseries.hpp"
-#include "support/json.hpp"
-#include "support/result.hpp"
 
 namespace feam::report {
 
-inline constexpr std::string_view kTrendBaselineSchema =
-    "feam.trend_baseline/1";
-
-struct TrendCheck {
-  std::string metric;
-  double early = 0.0;
-  double late = 0.0;
-  double drift = 0.0;  // signed (late-early)/early; 0 when early == 0
-  bool skipped = false;
-  bool pass = true;
-  std::string verdict;  // human-readable "ok ..." / "FAIL ..." line
+// Sample indices [from, to) of a stream; from <= to.
+struct SampleSpan {
+  std::size_t from = 0;
+  std::size_t to = 0;
+  std::size_t size() const { return to - from; }
 };
 
-struct TrendGateResult {
-  bool pass = true;
-  std::size_t steady_samples = 0;
-  std::vector<TrendCheck> checks;
+// The steady span: the first quarter of the samples is warm-up, and the
+// final flush sample is dropped — its window is not interval-shaped.
+SampleSpan steady_state(const Timeseries& series);
 
-  std::size_t failures() const;
-  std::string render() const;
-};
-
-// Applies the baseline to the stream; fails on a malformed baseline
-// document or an unknown metric selector.
-support::Result<TrendGateResult> run_trend_gate(const Timeseries& series,
-                                                const support::Json& baseline);
-
-// Flattened view for bench records: trend.<metric>.{early,late,drift} per
-// evaluated check, plus trend.pass / trend.steady_samples.
-std::map<std::string, double> trend_metrics(const TrendGateResult& result);
+// Evaluates one trend.* name over the stream's steady span; nullopt when
+// the name is not a trend metric (unknown selector or statistic).
+std::optional<double> trend_metric(const Timeseries& series,
+                                   std::string_view name);
 
 }  // namespace feam::report

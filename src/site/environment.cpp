@@ -37,8 +37,7 @@ const std::map<std::string, std::string, std::less<>>& Environment::visible()
 
 void Environment::begin_session() const {
   auto fresh = std::make_unique<Shadow>();
-  fresh->vars = visible();        // copy-on-begin: nested sessions stack
-  fresh->generation = generation();
+  fresh->vars = visible();  // copy-on-begin: nested sessions stack
   t_sessions.push_back({this, std::move(fresh)});
 }
 
@@ -50,18 +49,6 @@ void Environment::end_session() const {
     }
   }
   assert(false && "end_session without a matching begin_session");
-}
-
-bool Environment::in_session() const { return shadow() != nullptr; }
-
-const std::map<std::string, std::string, std::less<>>& Environment::all()
-    const {
-  return visible();
-}
-
-std::uint64_t Environment::generation() const {
-  const Shadow* s = shadow();
-  return s != nullptr ? s->generation : generation_;
 }
 
 std::uint64_t Environment::fingerprint() const {
@@ -83,27 +70,16 @@ std::uint64_t Environment::fingerprint() const {
 }
 
 void Environment::set(std::string name, std::string value) {
-  if (Shadow* s = shadow()) {
-    s->vars.insert_or_assign(std::move(name), std::move(value));
-    ++s->generation;
-    return;
-  }
-  vars_.insert_or_assign(std::move(name), std::move(value));
-  ++generation_;
+  Shadow* s = shadow();
+  (s != nullptr ? s->vars : vars_)
+      .insert_or_assign(std::move(name), std::move(value));
 }
 
 void Environment::unset(std::string_view name) {
-  if (Shadow* s = shadow()) {
-    const auto it = s->vars.find(name);
-    if (it == s->vars.end()) return;
-    s->vars.erase(it);
-    ++s->generation;
-    return;
-  }
-  const auto it = vars_.find(name);
-  if (it == vars_.end()) return;
-  vars_.erase(it);
-  ++generation_;
+  Shadow* s = shadow();
+  auto& vars = s != nullptr ? s->vars : vars_;
+  const auto it = vars.find(name);
+  if (it != vars.end()) vars.erase(it);
 }
 
 std::optional<std::string> Environment::get(std::string_view name) const {

@@ -39,19 +39,11 @@ class Environment {
     return get_list("LD_LIBRARY_PATH");
   }
 
-  const std::map<std::string, std::string, std::less<>>& all() const;
-
-  // Monotone counter bumped on every mutation (set/unset, list edits).
-  // Cache keys use it to detect staleness. Inside a session the counter
-  // continues from the base value it was copied at, so it stays monotone
-  // from the session's point of view.
-  std::uint64_t generation() const;
-
-  // Content hash of the visible variables. Unlike generation(), a
-  // save/edit/restore cycle lands back on the original value, so memo keys
-  // built from it survive the constant module load/unload churn of the
-  // migration loop. Environments are small (a handful of variables), so
-  // hashing on demand is cheap.
+  // Content hash of the visible variables. A save/edit/restore cycle
+  // lands back on the original value, so memo keys built from it survive
+  // the constant module load/unload churn of the migration loop.
+  // Environments are small (a handful of variables), so hashing on demand
+  // is cheap.
   std::uint64_t fingerprint() const;
 
   // --- thread-private sessions (use site::ShellSession, not these raw)
@@ -62,14 +54,12 @@ class Environment {
   // Environment while any thread has a session open on it.
   void begin_session() const;
   void end_session() const;
-  bool in_session() const;
 
-  // Shadow of one session: a full variable copy plus its own generation
-  // counter. Public only so the thread-local registry in the .cpp can name
-  // it — not part of the API surface.
+  // Shadow of one session: a full variable copy. Public only so the
+  // thread-local registry in the .cpp can name it — not part of the API
+  // surface.
   struct Shadow {
     std::map<std::string, std::string, std::less<>> vars;
-    std::uint64_t generation = 0;
   };
 
  private:
@@ -79,7 +69,6 @@ class Environment {
   const std::map<std::string, std::string, std::less<>>& visible() const;
 
   std::map<std::string, std::string, std::less<>> vars_;
-  std::uint64_t generation_ = 0;
 };
 
 }  // namespace feam::site

@@ -53,7 +53,6 @@ void Site::begin_shell_session() {
   env.begin_session();
   auto fresh = std::make_unique<ModuleShadow>();
   fresh->loaded = loaded_modules();  // copy-on-begin: nested sessions stack
-  fresh->generation = module_generation();
   t_module_sessions.push_back({this, std::move(fresh)});
 }
 
@@ -66,11 +65,6 @@ void Site::end_shell_session() {
       return;
     }
   }
-}
-
-std::uint64_t Site::module_generation() const {
-  const ModuleShadow* s = module_shadow();
-  return s != nullptr ? s->generation : module_generation_;
 }
 
 const std::vector<std::string>& Site::loaded_modules() const {
@@ -125,13 +119,8 @@ bool Site::load_module(std::string_view module_name) {
   for (const auto& [var, entry] : it->prepends) {
     env.prepend_to_list(var, entry);
   }
-  if (ModuleShadow* s = module_shadow()) {
-    s->loaded.push_back(it->name);
-    ++s->generation;
-  } else {
-    loaded_.push_back(it->name);
-    ++module_generation_;
-  }
+  ModuleShadow* s = module_shadow();
+  (s != nullptr ? s->loaded : loaded_).push_back(it->name);
   return true;
 }
 
@@ -153,13 +142,8 @@ void Site::unload_all_modules() {
       env.set(var, support::join(entries, ":"));
     }
   }
-  if (ModuleShadow* s = module_shadow()) {
-    s->loaded.clear();
-    ++s->generation;
-  } else {
-    loaded_.clear();
-    ++module_generation_;
-  }
+  ModuleShadow* s = module_shadow();
+  (s != nullptr ? s->loaded : loaded_).clear();
 }
 
 const MpiStackInstall* Site::find_stack(MpiImpl impl,

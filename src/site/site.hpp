@@ -141,19 +141,6 @@ class Site {
   std::optional<std::string> clib_path() const;
 
   // --- concurrency & caching support
-  // Monotone counter covering every observable mutation of the site's
-  // live state: VFS writes, environment edits, and module load/unload.
-  // Coarse by construction — any mutation anywhere bumps it. Session-
-  // aware: inside a shell session the module/env halves come from the
-  // calling thread's shadows.
-  std::uint64_t state_generation() const {
-    return vfs.generation() + env.generation() + module_generation();
-  }
-
-  // The module half of state_generation(), from the calling thread's
-  // shell-session shadow when one is active.
-  std::uint64_t module_generation() const;
-
   // Narrow invalidation key covering exactly what environment discovery
   // reads: the system half of the VFS (module databases, /etc releases,
   // stacks under /opt and /usr — scratch writes under /home and /tmp are
@@ -188,14 +175,12 @@ class Site {
   // for the variable half). Public only for the registry in the .cpp.
   struct ModuleShadow {
     std::vector<std::string> loaded;
-    std::uint64_t generation = 0;
   };
 
  private:
   ModuleShadow* module_shadow() const;
 
   std::vector<std::string> loaded_;
-  std::uint64_t module_generation_ = 0;
   std::uint64_t lease_id_;
   // Subtree lease table: mutexes live in a node-stable map behind a
   // unique_ptr (Site stays movable; the mutex objects never move).

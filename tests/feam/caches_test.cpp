@@ -241,7 +241,8 @@ TEST(ResolverCache, LddMemoInvalidatedByAnySiteMutation) {
   EXPECT_EQ(repeat.value(), first.value());
   EXPECT_GT(cache.hits(), hits_before);
 
-  // An environment edit bumps the env generation: recomputed, same text.
+  // An environment edit moves the env fingerprint the ldd memo keys on:
+  // recomputed, same text.
   const std::uint64_t misses_before = cache.misses();
   s->env.set("FEAM_PROBE", "1");
   const auto recomputed = binutils::ldd(*s, path, false, &cache);

@@ -1,13 +1,16 @@
-// Reader + trend-gate tests over synthetic feam.timeseries/1 streams:
+// Reader + trend-metric tests over synthetic feam.timeseries/1 streams:
 // incremental tailing with torn lines, malformed-line accounting, windowed
-// aggregation, and the gate's core promise — an injected steady-state
-// slowdown fails, the clean run passes.
+// aggregation, and the trend gate's core promise — trend metrics bounded
+// by a feam.report_baseline/1 document fail an injected steady-state
+// slowdown and pass the clean run.
 #include "report/timeseries.hpp"
 
+#include <map>
 #include <string>
 
 #include <gtest/gtest.h>
 
+#include "report/gate.hpp"
 #include "report/trend.hpp"
 #include "support/json.hpp"
 
@@ -59,12 +62,13 @@ std::string sample_line(std::uint64_t seq, std::uint64_t hits_delta,
 }
 
 // 20 samples: hit rate and latency steady by default; `degrade` makes the
-// back half drift (latency x4, hit rate collapsing).
+// late half of the steady span drift (latency x4, hit rate collapsing).
+// steady_state() keeps samples 4..18, so the late half starts at 11.
 std::string synthetic_stream(bool degrade) {
   std::string text = meta_line();
   std::uint64_t hits = 0, misses = 0, lat_total = 0;
   for (std::uint64_t i = 0; i < 20; ++i) {
-    const bool late = i >= 10;
+    const bool late = i >= 11;
     const std::uint64_t hit_d = degrade && late ? 2 : 8;
     const std::uint64_t miss_d = degrade && late ? 8 : 2;
     const std::uint64_t lat = degrade && late ? 4'000'000 : 1'000'000;
@@ -79,14 +83,41 @@ std::string synthetic_stream(bool degrade) {
 
 support::Json trend_baseline() {
   const auto parsed = support::Json::parse(R"({
-    "schema": "feam.trend_baseline/1",
-    "steady_state": {"skip_head_fraction": 0.1, "min_samples": 6},
+    "schema": "feam.report_baseline/1",
     "metrics": {
-      "hist.phase.target_ns.p99": {"max_drift": 0.5},
-      "hitrate.cache": {"max_drop": 0.2, "min_late": 0.5},
-      "rate.cache.hits{cache=bdc,site=india}": {"max_drop": 0.95}
+      "trend.steady_samples": {"min": 6},
+      "trend.hist.phase.target_ns.p99.drift": {"max": 0.5},
+      "trend.hitrate.cache.drift": {"min": -0.2},
+      "trend.hitrate.cache.late": {"min": 0.5},
+      "trend.rate.cache.hits{cache=bdc,site=india}.drift": {"min": -0.95}
     }})");
   return *parsed;
+}
+
+// What `feam report --baseline` does: read every trend.* name the
+// baseline lists off the stream, then make one run_gate call.
+std::map<std::string, double> read_trends(const Timeseries& series,
+                                          const support::Json& baseline) {
+  std::map<std::string, double> measured;
+  for (const auto& [name, spec] : baseline["metrics"].as_object()) {
+    const auto value = trend_metric(series, name);
+    EXPECT_TRUE(value.has_value()) << name;
+    if (value) measured[name] = *value;
+  }
+  return measured;
+}
+
+support::Result<GateResult> gate_trends(const Timeseries& series,
+                                        const support::Json& baseline) {
+  return run_gate(read_trends(series, baseline), baseline);
+}
+
+const MetricCheck* find_check(const GateResult& result,
+                              std::string_view name) {
+  for (const auto& check : result.checks) {
+    if (check.name == name) return &check;
+  }
+  return nullptr;
 }
 
 TEST(TimeseriesParse, ReadsMetaSamplesAndFinal) {
@@ -288,33 +319,29 @@ TEST(TimeseriesWindows, MergedHistogramBaseSpansLabeledSeries) {
 
 TEST(TrendGate, GaugeSelectorCatchesSteadyStateRssGrowth) {
   const auto baseline = *support::Json::parse(R"({
-    "schema": "feam.trend_baseline/1",
-    "steady_state": {"skip_head_fraction": 0.1, "min_samples": 6},
+    "schema": "feam.report_baseline/1",
     "metrics": {
-      "gauge.process.rss_bytes.mean": {"max_drift": 0.2}
+      "trend.gauge.process.rss_bytes.mean.drift": {"max": 0.2}
     }})");
   const Timeseries steady = parse_timeseries(gauge_stream(false));
-  const auto ok = run_trend_gate(steady, baseline);
+  const auto ok = gate_trends(steady, baseline);
   ASSERT_TRUE(ok.ok()) << ok.error();
   EXPECT_TRUE(ok.value().pass) << ok.value().render();
 
   const Timeseries leaking = parse_timeseries(gauge_stream(true));
-  const auto bad = run_trend_gate(leaking, baseline);
+  const auto bad = gate_trends(leaking, baseline);
   ASSERT_TRUE(bad.ok()) << bad.error();
   EXPECT_FALSE(bad.value().pass) << bad.value().render();
   ASSERT_EQ(bad.value().checks.size(), 1u);
-  EXPECT_GT(bad.value().checks[0].drift, 0.2);
+  EXPECT_GT(bad.value().checks[0].measured, 0.2);
 }
 
 TEST(TrendGate, RejectsUnknownGaugeStats) {
   const Timeseries series = parse_timeseries(gauge_stream(false));
+  EXPECT_TRUE(
+      trend_metric(series, "trend.gauge.process.rss_bytes.mean.drift"));
   EXPECT_FALSE(
-      run_trend_gate(series,
-                     *support::Json::parse(
-                         R"({"schema":"feam.trend_baseline/1","metrics":
-                             {"gauge.process.rss_bytes.median":
-                              {"max_drift": 1}}})"))
-          .ok());
+      trend_metric(series, "trend.gauge.process.rss_bytes.median.drift"));
 }
 
 TEST(LooksLikeTimeseries, DiscriminatesFromEventLogs) {
@@ -326,67 +353,92 @@ TEST(LooksLikeTimeseries, DiscriminatesFromEventLogs) {
 
 TEST(TrendGate, PassesOnACleanSteadyState) {
   const Timeseries series = parse_timeseries(synthetic_stream(false));
-  const auto result = run_trend_gate(series, trend_baseline());
+  // A quarter of warm-up off the front, the final flush sample off the
+  // back.
+  const SampleSpan steady = steady_state(series);
+  EXPECT_EQ(steady.from, 4u);
+  EXPECT_EQ(steady.to, 19u);
+  EXPECT_EQ(trend_metric(series, "trend.steady_samples").value_or(-1), 15.0);
+  EXPECT_DOUBLE_EQ(
+      trend_metric(series, "trend.hitrate.cache.early").value_or(-1), 0.8);
+  EXPECT_DOUBLE_EQ(
+      trend_metric(series, "trend.hitrate.cache.late").value_or(-1), 0.8);
+  EXPECT_EQ(trend_metric(series, "trend.hitrate.cache.drift").value_or(-1),
+            0.0);
+
+  const auto result = gate_trends(series, trend_baseline());
   ASSERT_TRUE(result.ok()) << result.error();
   EXPECT_TRUE(result.value().pass) << result.value().render();
   EXPECT_EQ(result.value().failures(), 0u);
-  // Checks actually evaluated, not vacuously skipped.
+  EXPECT_EQ(result.value().checks.size(), 5u);
   for (const auto& check : result.value().checks) {
-    EXPECT_FALSE(check.skipped) << check.metric;
+    EXPECT_TRUE(check.have_measured) << check.name;
   }
 }
 
 TEST(TrendGate, FailsOnInjectedSteadyStateSlowdown) {
   const Timeseries series = parse_timeseries(synthetic_stream(true));
-  const auto result = run_trend_gate(series, trend_baseline());
+  const auto result = gate_trends(series, trend_baseline());
   ASSERT_TRUE(result.ok()) << result.error();
   EXPECT_FALSE(result.value().pass);
-  bool latency_failed = false, hitrate_failed = false;
-  for (const auto& check : result.value().checks) {
-    if (check.metric == "hist.phase.target_ns.p99" && !check.pass) {
-      latency_failed = true;
-      EXPECT_GT(check.drift, 0.5);
-    }
-    if (check.metric == "hitrate.cache" && !check.pass) hitrate_failed = true;
-  }
-  EXPECT_TRUE(latency_failed) << result.value().render();
-  EXPECT_TRUE(hitrate_failed) << result.value().render();
+  const MetricCheck* latency =
+      find_check(result.value(), "trend.hist.phase.target_ns.p99.drift");
+  ASSERT_NE(latency, nullptr);
+  EXPECT_FALSE(latency->pass) << result.value().render();
+  EXPECT_GT(latency->measured, 0.5);
+  const MetricCheck* hitrate =
+      find_check(result.value(), "trend.hitrate.cache.drift");
+  ASSERT_NE(hitrate, nullptr);
+  EXPECT_FALSE(hitrate->pass) << result.value().render();
 }
 
-TEST(TrendGate, SkipsWhenTooFewSteadySamples) {
+TEST(TrendGate, FailsWhenTooFewSteadySamples) {
   std::string text = meta_line();
   text += sample_line(0, 1, 1, 0, 0, 1, 100, 1);
   const Timeseries series = parse_timeseries(text);
-  const auto result = run_trend_gate(series, trend_baseline());
-  ASSERT_TRUE(result.ok());
-  EXPECT_TRUE(result.value().pass);  // vacuous pass, explicitly marked
-  for (const auto& check : result.value().checks) {
-    EXPECT_TRUE(check.skipped);
-  }
+  const auto result = gate_trends(series, trend_baseline());
+  ASSERT_TRUE(result.ok()) << result.error();
+  // A stream too short to have a steady state fails; it does not pass
+  // vacuously.
+  EXPECT_FALSE(result.value().pass);
+  const MetricCheck* samples =
+      find_check(result.value(), "trend.steady_samples");
+  ASSERT_NE(samples, nullptr);
+  EXPECT_FALSE(samples->pass);
+  EXPECT_EQ(samples->measured, 1.0);
+  EXPECT_NE(result.value().render().find("FAIL trend.steady_samples"),
+            std::string::npos)
+      << result.value().render();
 }
 
 TEST(TrendGate, RejectsMalformedBaselines) {
   const Timeseries series = parse_timeseries(synthetic_stream(false));
-  EXPECT_FALSE(run_trend_gate(series, *support::Json::parse(
-                                          R"({"schema":"wrong/1"})"))
+  EXPECT_FALSE(run_gate({}, *support::Json::parse(R"({"schema":"wrong/1"})"))
                    .ok());
   EXPECT_FALSE(
-      run_trend_gate(series,
-                     *support::Json::parse(
-                         R"({"schema":"feam.trend_baseline/1","metrics":
-                             {"bogus.selector": {"max_drift": 1}}})"))
+      run_gate({{"trend.steady_samples", 15.0}},
+               *support::Json::parse(
+                   R"({"schema":"feam.report_baseline/1","metrics":
+                       {"trend.steady_samples": {"max_drift": 1}}})"))
           .ok());
+  EXPECT_FALSE(trend_metric(series, "trend.bogus.selector.drift"));
+  EXPECT_FALSE(trend_metric(series, "trend.hitrate.cache.median"));
+  EXPECT_FALSE(trend_metric(series, "trend.hitrate"));
+  EXPECT_FALSE(trend_metric(series, "hitrate.cache.drift"));
 }
 
 TEST(TrendGate, FlattensMetricsForBenchRecords) {
   const Timeseries series = parse_timeseries(synthetic_stream(false));
-  const auto result = run_trend_gate(series, trend_baseline());
-  ASSERT_TRUE(result.ok());
-  const auto metrics = trend_metrics(result.value());
-  EXPECT_EQ(metrics.at("trend.pass"), 1.0);
-  EXPECT_GT(metrics.at("trend.steady_samples"), 0.0);
-  EXPECT_TRUE(metrics.count("trend.hitrate.cache.late"));
-  EXPECT_TRUE(metrics.count("trend.hist.phase.target_ns.p99.drift"));
+  const support::Json baseline = trend_baseline();
+  const auto measured = read_trends(series, baseline);
+  const auto result = run_gate(measured, baseline);
+  ASSERT_TRUE(result.ok()) << result.error();
+  const auto record = bench_record(measured, &result.value(), 1);
+  EXPECT_TRUE(record["gate"]["pass"].as_bool());
+  EXPECT_EQ(record["metrics"]["trend.steady_samples"].as_number(), 15.0);
+  EXPECT_TRUE(record["metrics"]["trend.hitrate.cache.late"].is_number());
+  EXPECT_TRUE(
+      record["metrics"]["trend.hist.phase.target_ns.p99.drift"].is_number());
 }
 
 }  // namespace

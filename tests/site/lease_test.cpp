@@ -1,6 +1,5 @@
-// Site leases and the state counters the caches key on: mutual exclusion,
-// acquisition order, wait recording, generation bumps, and VFS write
-// stamps.
+// Site leases and the state stamps the caches key on: mutual exclusion,
+// acquisition order, wait recording, and VFS write stamps.
 #include "site/lease.hpp"
 
 #include <gtest/gtest.h>
@@ -21,28 +20,6 @@ TEST(SiteLease, IdsAreDistinctPerSite) {
   auto a = toolchain::make_site("india");
   auto b = toolchain::make_site("fir");
   EXPECT_NE(a->lease_id(), b->lease_id());
-}
-
-TEST(SiteState, GenerationBumpsOnEveryMutationKind) {
-  auto s = toolchain::make_site("india");
-
-  std::uint64_t g = s->state_generation();
-  s->vfs.write_file("/tmp/probe.txt", "x");
-  EXPECT_GT(s->state_generation(), g);
-
-  g = s->state_generation();
-  s->env.set("FEAM_TEST", "1");
-  EXPECT_GT(s->state_generation(), g);
-
-  const auto modules = s->available_modules();
-  ASSERT_FALSE(modules.empty());
-  g = s->state_generation();
-  s->load_module(modules.front());
-  EXPECT_GT(s->state_generation(), g);
-
-  g = s->state_generation();
-  s->unload_all_modules();
-  EXPECT_GT(s->state_generation(), g);
 }
 
 TEST(SiteState, FileVersionStampsTrackWrites) {
