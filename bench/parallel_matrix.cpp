@@ -1,13 +1,14 @@
 // Sequential-vs-pooled timing of the full migration matrix (the perf
 // claim of the parallel migration engine): after one untimed warm-up
-// pass, runs the NPB + SPEC matrix the legacy way (jobs=1, no caches —
-// exactly the pre-engine code path) and pooled with the
-// BDC/EDC/resolver/source-phase memoization on, interleaved best-of-two
-// each, asserts the run records are bit-identical, and reports wall
-// times, speedup (with a hardware-scaled 8-job target — parallel
-// scaling needs cores), and cache hit rates as a feam.bench/1 record
-// (BENCH_8.json). A speedup-vs-jobs sweep at 1/2/4/8 workers follows in
-// the same warm process.
+// pass, runs the NPB + SPEC matrix the legacy way (jobs=1, no caches)
+// and pooled with the BDC/EDC/resolver memoization on, interleaved
+// best-of-two each, asserts the run records are bit-identical, and
+// reports wall times, speedup (with a hardware-scaled 8-job target —
+// parallel scaling needs cores), and cache hit rates as a feam.bench/1
+// record (BENCH_8.json). Both legs run one task per binary, which runs
+// the binary's source phase once and reuses it for its other targets. A
+// speedup-vs-jobs sweep at 1/2/4/8 workers follows in the same warm
+// process.
 //
 // A third, sequential leg repeats the matrix with 0.2% Vfs fault injection
 // (the robustness claim): every pair must finish with a clean or io/parse
@@ -243,13 +244,12 @@ int main(int argc, char** argv) {
     slot = slot == 0.0 ? value : std::min(slot, value);
   };
 
-  // Leg 1 — legacy: strictly sequential, no memoization (exactly the
-  // pre-engine code path). Leg 2 — the parallel engine: pooled workers
-  // under subtree leases and thread-private shell sessions, with the
-  // blob-keyed BDC cache, the fingerprint-keyed EDC memo, and the
-  // per-binary source-phase memo. The two legs interleave best-of-two
-  // (seq, pooled, seq, pooled) so residual warm-up favours neither side
-  // of the speedup ratio.
+  // Leg 1 — legacy: strictly sequential, no memoization. Leg 2 — the
+  // parallel engine: one pooled task per binary under subtree leases and
+  // thread-private shell sessions, with the blob-keyed BDC cache, the
+  // fingerprint-keyed EDC memo and the resolver caches. The two legs
+  // interleave best-of-two (seq, pooled, seq, pooled) so residual warm-up
+  // favours neither side of the speedup ratio.
   double sequential_ms = 0.0;
   std::size_t migrations = 0;
   std::string sequential_dump;
@@ -318,12 +318,12 @@ int main(int argc, char** argv) {
   }
 
   // The pooled speedup is two multiplicative components: work reduction
-  // (caches, memoized source phases, zero-copy parsing — visible even on
-  // one core) and parallel scaling, which is bounded by min(jobs,
-  // hardware threads). The 8-job target therefore scales with the
-  // machine: the full 6x is demanded only where 8 hardware threads
-  // exist; smaller runners are held to what their core count can
-  // express, down to the pure work-reduction floor on a single core.
+  // (caches and zero-copy parsing — visible even on one core) and
+  // parallel scaling, which is bounded by min(jobs, hardware threads).
+  // The 8-job target therefore scales with the machine: the full 6x is
+  // demanded only where 8 hardware threads exist; smaller runners are
+  // held to what their core count can express, down to the pure
+  // work-reduction floor on a single core.
   const unsigned hw_threads =
       std::max(1u, std::thread::hardware_concurrency());
   const double speedup_jobs8 =
@@ -763,13 +763,12 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(alloc_count_total),
               bytes_per_migration / 1e3, alloc_tracking_ns_per_alloc);
   std::printf("  cache footprint peaks: bdc %.1f MB, edc %.1f KB, resolver "
-              "search/ldd/parse %.1f/%.1f/%.1f MB, source %.1f MB\n",
+              "search/ldd/parse %.1f/%.1f/%.1f MB\n",
               static_cast<double>(cache_peak_bytes("bdc")) / 1e6,
               static_cast<double>(cache_peak_bytes("edc")) / 1e3,
               static_cast<double>(cache_peak_bytes("resolver.search")) / 1e6,
               static_cast<double>(cache_peak_bytes("resolver.ldd")) / 1e6,
-              static_cast<double>(cache_peak_bytes("resolver.parse")) / 1e6,
-              static_cast<double>(cache_peak_bytes("source")) / 1e6);
+              static_cast<double>(cache_peak_bytes("resolver.parse")) / 1e6);
   std::printf("  process peak RSS: %.1f MB\n",
               static_cast<double>(peak_rss) / 1e6);
   std::printf("  results bit-identical to pooled run: %s\n",
@@ -872,8 +871,6 @@ int main(int argc, char** argv) {
       static_cast<double>(cache_peak_bytes("resolver.ldd"));
   metrics["bench.cache_peak_bytes_resolver_parse"] =
       static_cast<double>(cache_peak_bytes("resolver.parse"));
-  metrics["bench.cache_peak_bytes_source"] =
-      static_cast<double>(cache_peak_bytes("source"));
 
   report::GateResult gate;
   const report::GateResult* gate_ptr = nullptr;

@@ -55,23 +55,28 @@
 namespace feam::cli {
 namespace {
 
-std::optional<support::Bytes> read_host_file(const std::string& path) {
+// The whole file at `path`, read straight into support::Bytes (binaries,
+// bundle archives) or std::string (specs, records, baselines); nullopt
+// when it cannot be opened.
+template <typename Buffer>
+std::optional<Buffer> read_host_file(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) return std::nullopt;
-  return support::Bytes(std::istreambuf_iterator<char>(in),
-                        std::istreambuf_iterator<char>());
+  return Buffer(std::istreambuf_iterator<char>(in),
+                std::istreambuf_iterator<char>());
 }
 
-bool write_host_file(const std::string& path, const support::Bytes& data) {
+bool write_host_file(const std::string& path, std::string_view data) {
   std::ofstream out(path, std::ios::binary);
   if (!out) return false;
-  out.write(reinterpret_cast<const char*>(data.data()),
-            static_cast<std::streamsize>(data.size()));
+  out.write(data.data(), static_cast<std::streamsize>(data.size()));
   return static_cast<bool>(out);
 }
 
-bool write_host_file(const std::string& path, const std::string& text) {
-  return write_host_file(path, support::Bytes(text.begin(), text.end()));
+bool write_host_file(const std::string& path, const support::Bytes& data) {
+  return write_host_file(
+      path, std::string_view(reinterpret_cast<const char*>(data.data()),
+                             data.size()));
 }
 
 // Applies the observability flags for the whole command and exports the
@@ -240,7 +245,7 @@ const feam::SourcePhaseOutput* load_travelled_bundle(
     std::uint64_t* archive_bytes = nullptr) {
   failed = false;
   if (opts.bundle.empty()) return nullptr;
-  const auto archive = read_host_file(opts.bundle);
+  const auto archive = read_host_file<support::Bytes>(opts.bundle);
   if (!archive) {
     std::fprintf(stderr, "feam: cannot read %s\n", opts.bundle.c_str());
     failed = true;
@@ -264,13 +269,12 @@ const feam::SourcePhaseOutput* load_travelled_bundle(
 // a user-defined site from a JSON spec file.
 std::unique_ptr<site::Site> make_selected_site(const Options& opts) {
   if (!opts.site_file.empty()) {
-    const auto spec = read_host_file(opts.site_file);
+    const auto spec = read_host_file<std::string>(opts.site_file);
     if (!spec) {
       std::fprintf(stderr, "feam: cannot read %s\n", opts.site_file.c_str());
       return nullptr;
     }
-    auto built = toolchain::make_site_from_json(
-        std::string(spec->begin(), spec->end()));
+    auto built = toolchain::make_site_from_json(*spec);
     if (!built.ok()) {
       std::fprintf(stderr, "feam: %s\n", built.error().c_str());
       return nullptr;
@@ -357,7 +361,7 @@ int source_phase(const Options& opts, report::RunContext& ctx) {
   auto s = make_selected_site(opts);
   if (!s) return 1;
   ctx.source_site = s->name;
-  const auto binary = read_host_file(opts.binary);
+  const auto binary = read_host_file<support::Bytes>(opts.binary);
   if (!binary) {
     std::fprintf(stderr, "feam: cannot read %s\n", opts.binary.c_str());
     return 1;
@@ -397,7 +401,7 @@ int target_phase(const Options& opts, report::RunContext& ctx) {
   auto s = make_selected_site(opts);
   if (!s) return 1;
   ctx.target_site = s->name;
-  const auto binary = read_host_file(opts.binary);
+  const auto binary = read_host_file<support::Bytes>(opts.binary);
   if (!binary) {
     std::fprintf(stderr, "feam: cannot read %s\n", opts.binary.c_str());
     return 1;
@@ -467,7 +471,7 @@ int exec_command(const Options& opts, report::RunContext& ctx) {
   auto s = make_selected_site(opts);
   if (!s) return 1;
   ctx.target_site = s->name;
-  const auto binary = read_host_file(opts.binary);
+  const auto binary = read_host_file<support::Bytes>(opts.binary);
   if (!binary) {
     std::fprintf(stderr, "feam: cannot read %s\n", opts.binary.c_str());
     return 1;
@@ -523,7 +527,7 @@ int exec_command(const Options& opts, report::RunContext& ctx) {
 
 int survey(const Options& opts, report::RunContext& ctx) {
   ctx.binary = site::Vfs::basename(opts.binary);
-  const auto binary = read_host_file(opts.binary);
+  const auto binary = read_host_file<support::Bytes>(opts.binary);
   if (!binary) {
     std::fprintf(stderr, "feam: cannot read %s\n", opts.binary.c_str());
     return 1;
@@ -580,13 +584,12 @@ bool looks_like_record_jsonl(const std::string& text) {
 int fleet_command(const Options& opts, report::RunContext& ctx) {
   fleet::FleetSpec spec;
   if (!opts.fleet_spec.empty()) {
-    const auto bytes = read_host_file(opts.fleet_spec);
-    if (!bytes) {
+    const auto text = read_host_file<std::string>(opts.fleet_spec);
+    if (!text) {
       std::fprintf(stderr, "feam: cannot read %s\n", opts.fleet_spec.c_str());
       return 1;
     }
-    auto parsed =
-        fleet::parse_fleet_spec(std::string(bytes->begin(), bytes->end()));
+    auto parsed = fleet::parse_fleet_spec(*text);
     if (!parsed.ok()) {
       std::fprintf(stderr, "feam: %s: %s\n", opts.fleet_spec.c_str(),
                    parsed.error().c_str());
@@ -727,15 +730,14 @@ bool load_record_stream(const std::string& path,
     files.push_back(path);
   }
   for (const auto& file : files) {
-    const auto bytes = read_host_file(file);
-    if (!bytes) {
+    const auto text = read_host_file<std::string>(file);
+    if (!text) {
       std::fprintf(stderr, "feam: cannot read %s\n", file.c_str());
       return false;
     }
     // A named single file must carry records; directory members may be
     // other artifacts (event logs, metrics exports) and are skipped.
-    if (!ingest_text(file, std::string(bytes->begin(), bytes->end()),
-                     files.size() == 1 && file == path)) {
+    if (!ingest_text(file, *text, files.size() == 1 && file == path)) {
       return false;
     }
   }
@@ -783,14 +785,13 @@ int diff_command(const Options& opts) {
   if (!load_record_stream(opts.diff_b, b)) return 1;
   std::vector<report::DriftLogEntry> drift_log;
   if (!opts.drift_log_in.empty()) {
-    const auto bytes = read_host_file(opts.drift_log_in);
-    if (!bytes) {
+    const auto text = read_host_file<std::string>(opts.drift_log_in);
+    if (!text) {
       std::fprintf(stderr, "feam: cannot read %s\n",
                    opts.drift_log_in.c_str());
       return 1;
     }
-    drift_log =
-        report::parse_drift_log(std::string(bytes->begin(), bytes->end()));
+    drift_log = report::parse_drift_log(*text);
   }
   const report::DiffResult result = report::diff_records(a, b, drift_log);
   const std::string text = result.render_text();
@@ -849,12 +850,12 @@ int report_command(const Options& opts) {
   for (const auto& path : paths) {
     const auto ext = path.extension().string();
     if (ext != ".json" && ext != ".jsonl") continue;
-    const auto bytes = read_host_file(path.string());
-    if (!bytes) {
+    auto contents = read_host_file<std::string>(path.string());
+    if (!contents) {
       std::fprintf(stderr, "feam: cannot read %s\n", path.string().c_str());
       return 1;
     }
-    std::string text(bytes->begin(), bytes->end());
+    std::string text = std::move(*contents);
     if (ext == ".jsonl") {
       // --timeseries-out, --events-out, and `feam fleet --records-out`
       // share the extension; the schema field on the first line tells
@@ -988,13 +989,12 @@ int report_command(const Options& opts) {
   const report::GateResult* gate_result = nullptr;
   report::GateResult gate_storage;
   if (!opts.baseline.empty()) {
-    const auto baseline_bytes = read_host_file(opts.baseline);
-    if (!baseline_bytes) {
+    const auto baseline_text = read_host_file<std::string>(opts.baseline);
+    if (!baseline_text) {
       std::fprintf(stderr, "feam: cannot read %s\n", opts.baseline.c_str());
       return 1;
     }
-    const auto baseline = support::Json::parse(
-        std::string(baseline_bytes->begin(), baseline_bytes->end()));
+    const auto baseline = support::Json::parse(*baseline_text);
     if (!baseline) {
       std::fprintf(stderr, "feam: %s is not valid JSON\n",
                    opts.baseline.c_str());
@@ -1051,13 +1051,12 @@ int report_command(const Options& opts) {
 // file into self/total time per span name, per-thread utilization, the
 // critical path, and flamegraph output. Same input -> byte-identical output.
 int profile_command(const Options& opts) {
-  const auto bytes = read_host_file(opts.profile_in);
-  if (!bytes) {
+  const auto text = read_host_file<std::string>(opts.profile_in);
+  if (!text) {
     std::fprintf(stderr, "feam: cannot read %s\n", opts.profile_in.c_str());
     return 1;
   }
-  const auto parsed =
-      support::Json::parse(std::string(bytes->begin(), bytes->end()));
+  const auto parsed = support::Json::parse(*text);
   if (!parsed) {
     std::fprintf(stderr, "feam: %s is not valid JSON\n",
                  opts.profile_in.c_str());

@@ -42,31 +42,7 @@ bool impl_available(const Site& target, site::MpiImpl impl) {
                      [&](const auto& stack) { return stack.impl == impl; });
 }
 
-// Estimated bytes one memoized source phase owns. Bundle payloads are
-// blobs shared with the home site's files, so only their records count.
-std::uint64_t source_output_bytes(const feam::SourcePhaseOutput& output) {
-  std::uint64_t total = sizeof(output);
-  for (const auto& lib : output.bundle.libraries) {
-    total += sizeof(lib) + lib.name.size() + lib.origin_path.size();
-  }
-  for (const auto& hw : output.bundle.hello_worlds) {
-    total += sizeof(hw) + hw.name.size();
-  }
-  for (const auto& event : output.events) {
-    total += event.name.size() + event.message.size();
-    for (const auto& [key, value] : event.fields) {
-      total += key.size() + value.size();
-    }
-  }
-  return total;
-}
-
 }  // namespace
-
-std::uint64_t Experiment::SourceEntry::footprint() const {
-  return sizeof(SourceEntry) + home_site.size() + path.size() +
-         (output.ok() ? source_output_bytes(output.value()) : 0);
-}
 
 Experiment::Experiment(ExperimentOptions options)
     : options_(std::move(options)),
@@ -144,62 +120,9 @@ std::size_t Experiment::test_set_size(std::string_view suite) const {
                     [&](const TestBinary& b) { return b.workload.suite == suite; }));
 }
 
-const support::Result<feam::SourcePhaseOutput>& Experiment::source_phase_for(
-    const TestBinary& binary, Site& home, const feam::FeamConfig& config,
-    std::optional<support::Result<feam::SourcePhaseOutput>>& local) {
-  // The source phase runs in the guaranteed execution environment — the
-  // shell configured to run the binary, i.e. with its stack's module
-  // loaded. A private shell session supplies that shell without touching
-  // the base site state, so repeated runs produce identical output. That
-  // is what makes memoizing it sound. The binary-path lease serializes
-  // same-binary source phases (their hello-world scratch is keyed by the
-  // binary's basename) while different binaries run concurrently; it is
-  // the innermost lock a worker ever takes, so it cannot cycle with the
-  // per-job artifact leases held across migrate_one.
-  const auto run_fresh = [&] {
-    site::ShellSession shell(home);
-    home.unload_all_modules();
-    home.load_module(binary.stack.module_name());
-    return feam::run_source_phase(home, binary.path, config, caches_.get());
-  };
-  if (caches_ == nullptr) {
-    site::SubtreeLeases lease({{&home, binary.path}});
-    local.emplace(run_fresh());
-    return *local;
-  }
-  const std::uint64_t key =
-      support::fnv1a_mix(support::fnv1a(binary.home_site), binary.path);
-  const auto matches = [&](const SourceEntry& e) {
-    return e.home_site == binary.home_site && e.path == binary.path;
-  };
-  if (const SourceEntry* entry = source_memo_.find(key, home.name, matches)) {
-    return entry->output;
-  }
-  // Single flight: a worker that misses takes the binary lease and looks
-  // again, so without faults a binary's source phase runs once however
-  // many workers migrate it.
-  site::SubtreeLeases lease({{&home, binary.path}});
-  if (const SourceEntry* entry = source_memo_.find(key, home.name, matches)) {
-    return entry->output;
-  }
-  const site::FaultWitness witness;
-  auto fresh = run_fresh();
-  if (const SourceEntry* entry =
-          source_memo_.fill(key, home.name, witness, matches, [&] {
-            return SourceEntry{binary.home_site, binary.path,
-                               std::move(fresh)};
-          })) {
-    return entry->output;
-  }
-  // A faulted source phase describes a home site that never existed; hand
-  // it to this caller (who attributes the pair) but never memoize it —
-  // the next migration of this binary recomputes cleanly.
-  local.emplace(std::move(fresh));
-  return *local;
-}
-
-std::optional<MigrationResult> Experiment::migrate_one(
-    const TestBinary& binary, Site& target) {
+MigrationResult Experiment::migrate_one(
+    const TestBinary& binary, Site& target,
+    std::optional<support::Result<feam::SourcePhaseOutput>>& source) {
   Site& home = site(binary.home_site);
   obs::Span span("eval.migrate",
                  {{"binary", binary.workload.program.name},
@@ -297,14 +220,24 @@ std::optional<MigrationResult> Experiment::migrate_one(
     }
   }
 
-  // --- FEAM extended prediction: source phase (under home's lease, via
-  // the per-binary memo) + target phase.
-  std::optional<support::Result<feam::SourcePhaseOutput>> local_source;
-  const support::Result<feam::SourcePhaseOutput>& source =
-      source_phase_for(binary, home, config, local_source);
-  if (!source.ok() && !phase_error &&
-      support::failure_category(source.code()) == "parse") {
-    phase_error = source.full_error();
+  // --- FEAM extended prediction: the binary's source phase, run by its
+  // first migration in the guaranteed environment at home and reused by
+  // the rest (paper Fig. 2), then the target phase.
+  bool source_faulted = false;
+  if (source) {
+    ++source_hits_;
+    obs::counter("cache.hits", {.site = home.name, .cache = "source"}).add();
+  } else {
+    const site::FaultWitness source_witness;
+    source.emplace(feam::run_source_phase(home, binary.path, binary.stack,
+                                          config, caches_.get()));
+    source_faulted = source_witness.fired();
+    ++source_misses_;
+    obs::counter("cache.misses", {.site = home.name, .cache = "source"}).add();
+  }
+  if (!source->ok() && !phase_error &&
+      support::failure_category(source->code()) == "parse") {
+    phase_error = source->full_error();
   }
 
   {
@@ -314,8 +247,8 @@ std::optional<MigrationResult> Experiment::migrate_one(
     ext_opts.apply_resolution = options_.apply_resolution;
     ext_opts.run_usability_tests = options_.run_usability_tests;
     std::optional<feam::TargetPhaseOutput> extended;
-    if (source.ok()) {
-      auto r = feam::run_target_phase(target, migrated_path, &source.value(),
+    if (source->ok()) {
+      auto r = feam::run_target_phase(target, migrated_path, &source->value(),
                                       config, ext_opts, caches_.get());
       if (r.ok()) {
         extended = std::move(r).take();
@@ -375,6 +308,9 @@ std::optional<MigrationResult> Experiment::migrate_one(
     target.vfs.remove(resolution_root);
   }
 
+  // A faulted source phase describes a home site that never existed: this
+  // migration is attributed io below, and the next one reruns the phase.
+  if (source_faulted) source.reset();
   if (witness.fired()) {
     result.failure_attribution = "io";
     result.failure_detail =
@@ -397,18 +333,20 @@ void Experiment::run() {
   // inter-run inspection always see healthy sites.
   for (const auto& injector : injectors_) injector->set_enabled(true);
 
-  // Build the migration list sequentially (so skip accounting is exact),
-  // then fan out. Each migration writes into its pre-assigned slot, so
-  // `results_` is in migration-list order at any job count — completion
-  // order never shows.
-  struct Job {
+  // One task per binary, migrating it to each matching target in turn:
+  // its first migration runs the source phase and the rest reuse it, as
+  // in the paper's workflow. The targets are listed sequentially (so skip
+  // accounting is exact) and each migration writes its pre-assigned slot,
+  // so `results_` is binary-major at any job count.
+  struct Task {
     const TestBinary* binary;
-    Site* target;
+    std::vector<Site*> targets;
+    std::size_t first_slot;
   };
-  std::vector<Job> jobs;
-  std::vector<std::pair<std::size_t, std::size_t>> runs;  // binary's [b, e)
+  std::vector<Task> tasks;
+  std::size_t migrations = 0;
   for (const auto& binary : test_set_) {
-    const std::size_t begin = jobs.size();
+    Task task{&binary, {}, migrations};
     for (const auto& target : sites_) {
       if (target->name == binary.home_site) continue;
       // Paper VI.B: results are only reported for target sites with a
@@ -419,39 +357,25 @@ void Experiment::run() {
         ++skipped_no_impl_;
         continue;
       }
-      jobs.push_back({&binary, target.get()});
+      task.targets.push_back(target.get());
     }
-    runs.emplace_back(begin, jobs.size());
+    if (task.targets.empty()) continue;
+    migrations += task.targets.size();
+    tasks.push_back(std::move(task));
   }
 
-  // The job list is binary-major, so neighbouring jobs share a source
-  // binary (they would serialize on its source-phase memo entry) and
-  // often a target site lease. Submit round-robin across binaries so
-  // concurrently running workers touch distinct binaries and sites; a
-  // pool of one runs them in this order on this thread. Slot indices keep
-  // the original order, so the interleave is invisible in the results.
-  std::vector<std::size_t> order;
-  order.reserve(jobs.size());
-  for (bool more = true; more;) {
-    more = false;
-    for (auto& [begin, end] : runs) {
-      if (begin == end) continue;
-      order.push_back(begin++);
-      more = true;
-    }
-  }
-
-  std::vector<std::optional<MigrationResult>> slots(jobs.size());
+  results_.resize(migrations);
   support::ThreadPool pool(options_.jobs, obs::pool_task_recorder());
-  for (const std::size_t i : order) {
-    pool.submit([this, &jobs, &slots, i] {
-      slots[i] = migrate_one(*jobs[i].binary, *jobs[i].target);
+  for (const Task& task : tasks) {
+    pool.submit([this, &task] {
+      std::optional<support::Result<feam::SourcePhaseOutput>> source;
+      for (std::size_t i = 0; i < task.targets.size(); ++i) {
+        results_[task.first_slot + i] =
+            migrate_one(*task.binary, *task.targets[i], source);
+      }
     });
   }
   pool.wait();
-  for (auto& slot : slots) {
-    if (slot) results_.push_back(std::move(*slot));
-  }
   for (const auto& injector : injectors_) injector->set_enabled(false);
 
   // Each job removed its own resolution subtree; what remains of the

@@ -22,7 +22,6 @@
 
 #include "feam/caches.hpp"
 #include "feam/phases.hpp"
-#include "site/memo.hpp"
 #include "site/site.hpp"
 #include "toolchain/launcher.hpp"
 #include "workloads/benchmarks.hpp"
@@ -76,8 +75,8 @@ struct MigrationResult {
 
 struct ExperimentOptions {
   std::uint64_t fault_seed = 20130613;  // 0 disables system errors
-  int ranks = 4;
-  int retry_attempts = 5;  // paper Section VI.C
+  static constexpr int ranks = 4;
+  static constexpr int retry_attempts = 5;  // paper Section VI.C
   // Restrict to a subset of workloads (empty = all); used by unit tests to
   // keep runtimes down.
   std::vector<std::string> only_benchmarks;
@@ -97,20 +96,21 @@ struct ExperimentOptions {
   // in pre-assigned slots.
   int jobs = 1;
   // Memoize BDC descriptions (keyed on content blobs), EDC scans
-  // (fingerprint-keyed), and the per-binary source phase. Transparent:
-  // predictions and execution outcomes are identical with caches off —
-  // `false` is the legacy path the parallel_matrix bench uses as its
-  // baseline.
+  // (fingerprint-keyed) and the resolver's searches (MigrationCaches).
+  // Transparent: predictions and execution outcomes are identical with
+  // caches off — `false` is the legacy path the parallel_matrix bench uses
+  // as its baseline. The source phase runs once per binary either way:
+  // that is the paper's workflow, not a cache.
   bool use_caches = true;
 
   // Opt-in Vfs fault injection during run() (0.0 = off). Each site gets an
   // injector seeded vfs_fault_seed ^ fnv1a(site name), enabled only for
   // the duration of run() — build_test_set always sees a healthy Vfs.
   // Faulted pairs come back with failure_attribution set; pairs untouched
-  // by faults are bit-identical to an uninjected run (the caches never
-  // store faulted computations).
+  // by faults are bit-identical to an uninjected run (neither the caches
+  // nor a binary's next migration reuse a faulted computation).
   double vfs_fault_rate = 0.0;
-  std::uint64_t vfs_fault_seed = 20130613;
+  static constexpr std::uint64_t vfs_fault_seed = 20130613;
 };
 
 class Experiment {
@@ -137,8 +137,11 @@ class Experiment {
   // Memoization stats for the benches; caches() is null when
   // options.use_caches is false.
   const feam::MigrationCaches* caches() const { return caches_.get(); }
-  std::uint64_t source_phase_hits() const { return source_memo_.hits(); }
-  std::uint64_t source_phase_misses() const { return source_memo_.misses(); }
+  // Migrations that reused their binary's source phase (hits) and ran it
+  // (misses), also counted in cache.hits|cache.misses{cache=source,site}
+  // under the home site. Without faults, misses = migrated binaries.
+  std::uint64_t source_phase_hits() const { return source_hits_.load(); }
+  std::uint64_t source_phase_misses() const { return source_misses_.load(); }
 
   // (binary, site) pairs skipped because the site lacks the matching MPI
   // implementation. At those sites FEAM trivially (and correctly) predicts
@@ -150,24 +153,12 @@ class Experiment {
   site::Site& site(std::string_view name);
 
  private:
-  // One memoized source phase, keyed on (home site, binary path).
-  struct SourceEntry {
-    std::string home_site;
-    std::string path;
-    support::Result<feam::SourcePhaseOutput> output;
-    std::uint64_t footprint() const;
-  };
-
-  std::optional<MigrationResult> migrate_one(const TestBinary& binary,
-                                             site::Site& target);
-  // The source phase for `binary`, run in its guaranteed environment at
-  // `home` (module loaded, then unloaded again) under home's lease.
-  // Memoized per binary when caches are on — the paper's workflow runs it
-  // once per binary, not once per migration.
-  const support::Result<feam::SourcePhaseOutput>& source_phase_for(
-      const TestBinary& binary, site::Site& home,
-      const feam::FeamConfig& config,
-      std::optional<support::Result<feam::SourcePhaseOutput>>& local);
+  // Migrates `binary` to `target`. `source` is the binary's source phase,
+  // shared by its migrations: empty, it is run here; a run that an
+  // injected fault touched serves this migration only and is dropped.
+  MigrationResult migrate_one(
+      const TestBinary& binary, site::Site& target,
+      std::optional<support::Result<feam::SourcePhaseOutput>>& source);
 
   ExperimentOptions options_;
   std::vector<std::unique_ptr<site::Site>> sites_;
@@ -181,7 +172,8 @@ class Experiment {
   // Per-site fault injectors (empty when vfs_fault_rate == 0), index-
   // aligned with sites_.
   std::vector<std::shared_ptr<site::FaultInjector>> injectors_;
-  site::Memo<SourceEntry> source_memo_{"source"};
+  std::atomic<std::uint64_t> source_hits_{0};
+  std::atomic<std::uint64_t> source_misses_{0};
 };
 
 }  // namespace feam::eval

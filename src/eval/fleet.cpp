@@ -8,7 +8,6 @@
 #include "feam/survey.hpp"
 #include "obs/metrics.hpp"
 #include "report/aggregate.hpp"
-#include "site/lease.hpp"
 #include "support/thread_pool.hpp"
 #include "toolchain/linker.hpp"
 
@@ -97,15 +96,12 @@ FleetRunResult run_fleet(fleet::Fleet& fleet, const FleetRunOptions& options) {
       continue;
     }
 
-    // Source phase in the guaranteed environment: the anchor shell with
-    // the build stack's module loaded, kept private to this sweep.
+    // Source phase once per workload, in the guaranteed environment at
+    // the anchor; its bundle travels to every site of the survey.
     std::optional<SourcePhaseOutput> source;
-    {
-      site::ShellSession shell(anchor);
-      anchor.unload_all_modules();
-      anchor.load_module(stack.module_name());
-      auto phase = run_source_phase(anchor, path, config, cache_ptr);
-      if (phase.ok()) source.emplace(std::move(phase).take());
+    if (auto phase = run_source_phase(anchor, path, stack, config, cache_ptr);
+        phase.ok()) {
+      source.emplace(std::move(phase).take());
     }
 
     // Every site receives the anchor file's own blob, not a copy of it.

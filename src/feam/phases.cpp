@@ -7,6 +7,7 @@
 #include "obs/metrics.hpp"
 #include "obs/provenance.hpp"
 #include "obs/trace.hpp"
+#include "site/lease.hpp"
 #include "support/strings.hpp"
 #include "toolchain/linker.hpp"
 
@@ -103,7 +104,7 @@ support::Result<SourcePhaseOutput> run_source_phase(
   }
   // Scratch paths carry the source binary's basename so concurrent source
   // phases for different binaries at one site never share (or remove) each
-  // other's probes; same-binary phases are serialized by the binary lease.
+  // other's probes; a binary's own phase runs on one thread at a time.
   const std::string scratch_nonce = site::Vfs::basename(binary_path);
   std::string hello_world_path;
   if (selected_install != nullptr) {
@@ -197,6 +198,16 @@ support::Result<SourcePhaseOutput> run_source_phase(
         {"hello_worlds", std::to_string(out.bundle.hello_worlds.size())}});
   (void)config;
   return out;
+}
+
+support::Result<SourcePhaseOutput> run_source_phase(
+    site::Site& home, std::string_view binary_path,
+    const site::MpiStackInstall& stack, const FeamConfig& config,
+    MigrationCaches* caches) {
+  site::ShellSession shell(home);
+  home.unload_all_modules();
+  home.load_module(stack.module_name());
+  return run_source_phase(home, binary_path, config, caches);
 }
 
 support::Result<TargetPhaseOutput> run_target_phase(

@@ -55,6 +55,15 @@ support::Result<SourcePhaseOutput> run_source_phase(
     site::Site& guaranteed, std::string_view binary_path,
     const FeamConfig& config = {}, MigrationCaches* caches = nullptr);
 
+// The same phase in the binary's guaranteed execution environment at its
+// home site: a private shell session (site::ShellSession) with `stack`,
+// the stack the binary was compiled with, as the only loaded module. The
+// base site state is untouched, so repeated runs produce identical output.
+support::Result<SourcePhaseOutput> run_source_phase(
+    site::Site& home, std::string_view binary_path,
+    const site::MpiStackInstall& stack, const FeamConfig& config,
+    MigrationCaches* caches);
+
 struct TargetPhaseOutput {
   BinaryDescription application;
   EnvironmentDescription environment;

@@ -1,6 +1,5 @@
 // The one memo table behind every FEAM cache: BDC descriptions, EDC
-// scans, the resolver's searches, ldd transcripts and ELF parses, and the
-// per-binary source phase.
+// scans, the resolver's searches, ldd transcripts and ELF parses.
 //
 // Entries live on a support::StripedMap under a 64-bit key fingerprint,
 // so a hit is one lock-free chain walk and a published entry never moves.

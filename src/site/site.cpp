@@ -196,12 +196,4 @@ std::uint64_t Site::discovery_fingerprint() const {
   return h;
 }
 
-std::optional<std::string> Site::clib_path() const {
-  for (const char* dir : {"/lib64", "/lib", "/usr/lib64", "/usr/lib"}) {
-    const std::string candidate = Vfs::join(dir, "libc.so.6");
-    if (vfs.exists(candidate)) return vfs.resolve(candidate);
-  }
-  return std::nullopt;
-}
-
 }  // namespace feam::site

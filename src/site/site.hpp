@@ -137,9 +137,6 @@ class Site {
   // the one `mpiexec` on this shell would use. Null when none is loaded.
   const MpiStackInstall* selected_stack() const;
 
-  // Path of the C library (resolving the /lib*/libc.so.6 convention).
-  std::optional<std::string> clib_path() const;
-
   // --- concurrency & caching support
   // Narrow invalidation key covering exactly what environment discovery
   // reads: the system half of the VFS (module databases, /etc releases,

@@ -68,7 +68,6 @@ class ByteReader {
   std::optional<std::string_view> cstr_view(std::size_t offset) const;
 
   std::size_t size() const { return data_->size(); }
-  void set_endian(Endian endian) { endian_ = endian; }
 
  private:
   const Bytes* data_;

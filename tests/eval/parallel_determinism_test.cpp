@@ -1,10 +1,11 @@
 // The parallel migration engine's central guarantee: the full evaluation
 // matrix produces bit-identical run records, readiness matrix, and report
 // aggregate at every job count — and with the memoization layer switched
-// off entirely — within a bounded peak RSS. Matrix-level guards on a
-// workload subset cover the memo layer's contract: the source phase runs
-// once per binary, faulted runs attribute every pair exactly, and each
-// memo's labeled series sum to its own counts.
+// off entirely — within a bounded peak RSS, taking one lease vector per
+// migration. Matrix-level guards on a workload subset cover the per-binary
+// tasks and the memo layer's contract: the source phase runs once per
+// binary with caches on or off, faulted runs attribute every pair exactly,
+// and each memo's labeled series sum to its own counts.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -102,23 +103,45 @@ std::string pair_key(const MigrationResult& r) {
 }
 
 TEST(ParallelDeterminism, SourcePhaseRunsOncePerBinaryAtEveryJobCount) {
-  for (const int jobs : {1, 4, 8}) {
-    // One workload: 15 binaries and about three migrations each, so
-    // workers do migrate one binary concurrently.
-    Experiment experiment(subset_options(jobs, {"is.B"}));
-    experiment.build_test_set();
-    experiment.run();
-    std::set<std::pair<std::string, std::string>> migrated;
-    for (const auto& r : experiment.results()) {
-      migrated.emplace(r.home_site, r.binary_name);
+  obs::Counter& source_runs = obs::counter("phase.source_runs");
+  for (const bool use_caches : {true, false}) {
+    for (const int jobs : {1, 4, 8}) {
+      // One workload: 15 binaries and about three migrations each, so
+      // a binary's later migrations have a source phase to reuse.
+      ExperimentOptions options = subset_options(jobs, {"is.B"});
+      options.use_caches = use_caches;
+      Experiment experiment(options);
+      experiment.build_test_set();
+      const std::uint64_t runs_before = source_runs.value();
+      experiment.run();
+      std::set<std::pair<std::string, std::string>> migrated;
+      for (const auto& r : experiment.results()) {
+        migrated.emplace(r.home_site, r.binary_name);
+      }
+      ASSERT_FALSE(migrated.empty());
+      EXPECT_EQ(source_runs.value() - runs_before, migrated.size())
+          << "jobs=" << jobs << " use_caches=" << use_caches;
+      EXPECT_EQ(experiment.source_phase_misses(), migrated.size())
+          << "jobs=" << jobs << " use_caches=" << use_caches;
+      EXPECT_EQ(experiment.source_phase_hits() + migrated.size(),
+                experiment.results().size())
+          << "jobs=" << jobs << " use_caches=" << use_caches;
     }
-    ASSERT_FALSE(migrated.empty());
-    EXPECT_EQ(experiment.source_phase_misses(), migrated.size())
-        << "jobs=" << jobs;
-    EXPECT_EQ(experiment.source_phase_hits() + migrated.size(),
-              experiment.results().size())
-        << "jobs=" << jobs;
   }
+}
+
+TEST(ParallelDeterminism, EveryMigrationTakesOneLeaseVectorOfTwoSubtrees) {
+  ExperimentOptions options;
+  options.jobs = 4;
+  Experiment experiment(options);
+  experiment.build_test_set();
+  obs::metrics().reset_values();
+  experiment.run();
+  // A migration leases its migrated binary and its resolution root at the
+  // target, and nothing else: no lease at the home site, none nested.
+  ASSERT_FALSE(experiment.results().empty());
+  EXPECT_EQ(obs::histogram("lease.wait_ns").count(),
+            2 * experiment.results().size());
 }
 
 TEST(ParallelDeterminism, FaultedParallelRunAttributesEveryPairExactly) {

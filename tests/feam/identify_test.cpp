@@ -54,6 +54,21 @@ struct StackCase {
   toolchain::Language language;
 };
 
+// "site_impl_compiler_lang", the test name suffix.
+std::string stack_case_name(const StackCase& c) {
+  return std::string(c.site) + "_" + site::mpi_impl_slug(c.impl) + "_" +
+         site::compiler_slug(c.compiler) + "_" +
+         (c.language == toolchain::Language::kC ? "c" : "f");
+}
+
+// Prints a case as its name suffix. gtest's default printer dumps the
+// struct's raw bytes, which hold a string pointer and padding, so the
+// ctest names that gtest_discover_tests derives from them changed with
+// every build.
+void PrintTo(const StackCase& c, std::ostream* os) {
+  *os << stack_case_name(c);
+}
+
 class IdentifyCompiledTest : public ::testing::TestWithParam<StackCase> {};
 
 TEST_P(IdentifyCompiledTest, CompiledBinaryIdentifiesAsItsStack) {
@@ -93,12 +108,7 @@ INSTANTIATE_TEST_SUITE_P(
                   toolchain::Language::kC},
         StackCase{"blacklight", MpiImpl::kOpenMpi, site::CompilerFamily::kGnu,
                   toolchain::Language::kFortran}),
-    [](const auto& param_info) {
-      return std::string(param_info.param.site) + "_" +
-             site::mpi_impl_slug(param_info.param.impl) + "_" +
-             site::compiler_slug(param_info.param.compiler) + "_" +
-             (param_info.param.language == toolchain::Language::kC ? "c" : "f");
-    });
+    [](const auto& param_info) { return stack_case_name(param_info.param); });
 
 }  // namespace
 }  // namespace feam
